@@ -110,9 +110,9 @@ def cmd_reduce(input, algo: str, strategy: str = "optimal", fallback: bool = Tru
     except (OSError, MatrixFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    opts = ReductionOptions(strategy=strat, breakdown_fallback=fallback,
-                            pivot_tol=pivot_tol)
     try:
+        opts = ReductionOptions(strategy=strat, breakdown_fallback=fallback,
+                                pivot_tol=pivot_tol)
         res = reduce(a, algo, opts)
     except BreakdownError as exc:
         print(f"step={exc.step}")

@@ -28,6 +28,7 @@ skipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,8 +114,8 @@ class ReductionOptions:
     set_exact_zeros: bool = True
 
     def __post_init__(self):
-        if self.pivot_tol < 0:
-            raise ValueError("pivot_tol must be nonnegative")
+        if not (math.isfinite(self.pivot_tol) and self.pivot_tol >= 0):
+            raise ValueError(f"pivot_tol must be finite and nonnegative, got {self.pivot_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,11 @@ class _ParamDrawer:
         if isinstance(self.strategy, FixedStrategy):
             return self.strategy.rhos[j - 1]
         return self._draw()
+
+
+def _rotate(c, s, x, y):
+    """Givens pairs (c x + s y, -s x + c y), elementwise with broadcasting."""
+    return c * x + s * y, -s * x + c * y
 
 
 def _vlg_lowering(k: int, a: np.ndarray) -> SymplecticTransform:
@@ -312,12 +318,50 @@ class _Driver:
         self.fallbacks: list[tuple[int, str]] = []
         self.optimal_params = variant != "jhsh" or isinstance(opts.strategy, OptimalStrategy)
         self.drawer = _ParamDrawer(opts.strategy, self.n) if variant == "jhsh" else None
+        if variant == "jhmsh":
+            self._strict_upper = np.triu(np.ones((self.n, self.n), dtype=bool), 1)
 
     def similarity(self, t: SymplecticTransform) -> None:
         apply_left(t, self.A)
         apply_right_adjoint(t, self.A)
         apply_right_adjoint(t, self.S)
         self.transcript.append(t)
+
+    def _givens_sweep(self, j: int, col: int) -> None:
+        """Apply the similarities by vlg(k, column), k = n down to j+1, at once.
+
+        Rotation k acts in its own plane (k, n+k) and reads only rows k and
+        n+k of the working column, which no other rotation of the sweep
+        touches, so all of them are built from the column as it stands.
+        They are applied by slices with the arithmetic of ``apply_left`` and
+        ``apply_right_adjoint``.  Applied one by one from k = n down, the
+        rotations gave the 2x2 block with row plane p and column plane q its
+        left rotation first when p >= q and its right rotation first when
+        p < q; the p < q blocks are recomputed in that order from the saved
+        entries, so H and S equal those of the one-by-one sweep bit for bit.
+        """
+        n, A, S = self.n, self.A, self.S
+        m = n - j
+        up, lo = slice(j, n), slice(n + j, 2 * n)
+        f, g = A[up, col - 1], A[lo, col - 1]
+        r = np.hypot(f, g)
+        nonzero = r != 0.0
+        c = np.divide(f, r, out=np.ones(m), where=nonzero)  # identity where r == 0
+        s = np.divide(g, r, out=np.zeros(m), where=nonzero)
+        self.transcript.extend(TransformGivens(k, ck, sk, n) for k, ck, sk
+                               in zip(range(n, j, -1), c[::-1].tolist(), s[::-1].tolist()))
+        cl, sl = c[:, None], s[:, None]
+        a11, a12, a21, a22 = (A[rows, cols].copy() for rows in (up, lo) for cols in (up, lo))
+        A[up], A[lo] = _rotate(cl, sl, A[up], A[lo])
+        for x in (A, S):
+            x[:, up], x[:, lo] = _rotate(c, s, x[:, up], x[:, lo])
+        r11, r12 = _rotate(c, s, a11, a12)
+        r21, r22 = _rotate(c, s, a21, a22)
+        l11, l21 = _rotate(cl, sl, r11, r21)
+        l12, l22 = _rotate(cl, sl, r12, r22)
+        right_first = self._strict_upper[:m, :m]  # blocks with p < q
+        for rows, cols, value in ((up, up, l11), (up, lo, l12), (lo, up, l21), (lo, lo, l22)):
+            np.copyto(A[rows, cols], value, where=right_first)
 
     def _subcolumn(self, col: int, row0: int) -> np.ndarray:
         # active part {row0..n, n+row0..2n} of a 1-based column index
@@ -393,8 +437,7 @@ class _Driver:
             self._eliminate_sh(j, col, j + 1, "even", build)
             return
         if self.variant == "jhmsh":
-            for k in range(n, j, -1):
-                self.similarity(vlg(k, self.A[:, col - 1]))
+            self._givens_sweep(j, col)
             if j <= n - 2:
                 self.similarity(vlh(j + 1, self.A[:, col - 1]))
         else:  # jhmsh2

@@ -96,6 +96,13 @@ class TestReduce:
                        "--strategy", f"fixed:{params}")
         assert code == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_pivot_tol_exits_2(self, tmp_path, capsys, tol):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.eye(4))
+        assert run_cli("reduce", path, "--algo", "jhmsh", f"--pivot-tol={tol}") == 2
+        assert "pivot_tol" in capsys.readouterr().err
+
     def test_bad_strategy_exits_2(self, tmp_path):
         path = tmp_path / "m.txt"
         write_matrix(path, np.eye(4))

@@ -148,11 +148,21 @@ class TestSpectralNorm:
         m = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         assert spectral_norm(m) == pytest.approx(2.0, rel=1e-12)
 
-    def test_cap_warns_and_returns_estimate(self):
-        m = np.diag([2.0, 1.0])
-        with pytest.warns(RuntimeWarning):
-            got = spectral_norm(m, max_iter=3)
-        assert got == pytest.approx(2.0, rel=0.05)
+    def test_near_degenerate_top_pair_against_svd_oracle(self):
+        # sigma_1 / sigma_2 = 1 + 1e-9: power iteration converges too slowly here
+        q1, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((6, 6)))
+        q2, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((6, 6)))
+        sigma = np.array([3.0 + 3e-9, 3.0, 1.0, 0.5, 0.25, 0.0])
+        m = q1 @ np.diag(sigma) @ q2.T
+        oracle = np.linalg.svd(m, compute_uv=False)[0]
+        assert spectral_norm(m) == pytest.approx(oracle, rel=1e-14)
+        assert spectral_norm(m) == pytest.approx(sigma[0], rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gives_nan(self, bad):
+        m = np.eye(4)
+        m[1, 2] = bad
+        assert np.isnan(spectral_norm(m))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from symhess import (
     TransformVLH,
     adjoint_mat,
     apply_left,
+    apply_right_adjoint,
     breakdown_fallback,
     densify,
     gen_family1,
@@ -366,3 +367,47 @@ class TestResultDiagnostics:
     def test_negative_pivot_tol_rejected(self):
         with pytest.raises(ValueError):
             ReductionOptions(pivot_tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_pivot_tol_rejected(self, tol):
+        with pytest.raises(ValueError):
+            ReductionOptions(pivot_tol=tol)
+
+
+def _zero_pair_input():
+    # Plane (4, 10) is invariant, so every jhmsh sweep meets a zero (f, g)
+    # pair there and builds an identity rotation.
+    a = np.random.default_rng(1400).standard_normal((12, 12))
+    for i in (3, 9):
+        a[i, :] = 0.0
+        a[:, i] = 0.0
+    a[3, 3], a[3, 9], a[9, 3], a[9, 9] = 1.0, 2.0, -0.5, 3.0
+    return a
+
+
+def _jhmsh_replay_inputs():
+    for n in range(2, 41):
+        yield f"family1 n={n}", gen_family1(n)
+        yield f"family2 n={n}", gen_family2(n)
+    for seed, n in enumerate((3, 7, 15, 30)):
+        yield f"gaussian n={n}", np.random.default_rng([1500, seed]).standard_normal((2 * n, 2 * n))
+    yield "zero (f, g) pair", _zero_pair_input()
+
+
+class TestTranscriptSimilarityReplay:
+    def test_jhmsh_replay_is_bit_exact(self):
+        # Without exact zeros H is exactly the product of the recorded
+        # similarities, applied one by one in transcript order.
+        opts = ReductionOptions(set_exact_zeros=False)
+        identities = 0
+        for name, a in _jhmsh_replay_inputs():
+            res = jhmsh(a, opts)
+            h, s = a.copy(), np.eye(a.shape[0])
+            for t in res.transcript:
+                apply_left(t, h)
+                apply_right_adjoint(t, h)
+                apply_right_adjoint(t, s)
+                identities += isinstance(t, TransformGivens) and t.is_identity
+            assert np.array_equal(h, res.h), name
+            assert np.array_equal(s, res.s), name
+        assert identities > 0
