@@ -42,7 +42,6 @@ from .reduction import (
     ParamStrategy,
     ReductionOptions,
     ReductionResult,
-    ReductionStep,
     SeededStrategy,
     breakdown_fallback,
     jhmsh,
@@ -50,7 +49,6 @@ from .reduction import (
     jhosh,
     jhsh,
     reduce,
-    reduction_steps,
 )
 from .experiments import (
     FamilySpec,
@@ -73,9 +71,9 @@ __all__ = [
     "cond2", "densify", "densify_adjoint", "embed", "general_mapping",
     "osh1", "osh2", "sh1", "sh2", "vlg", "vlh",
     "VARIANTS", "BreakdownError", "FixedStrategy", "OptimalStrategy",
-    "ParamStrategy", "ReductionOptions", "ReductionResult", "ReductionStep",
+    "ParamStrategy", "ReductionOptions", "ReductionResult",
     "SeededStrategy", "breakdown_fallback", "jhmsh", "jhmsh2", "jhosh",
-    "jhsh", "reduce", "reduction_steps",
+    "jhsh", "reduce",
     "FamilySpec", "SweepRow", "emit_table", "gen_family1", "gen_family2",
     "run_sweep",
     "MatrixFormatError", "read_matrix", "write_matrix",

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .core import adjoint_mat, spectral_norm, structure_report, symplecticity_residual
-from .experiments import emit_table, gen_family1, gen_family2, run_sweep
+from .experiments import FamilySpec, emit_table, run_sweep
 from .matrixio import MatrixFormatError, read_matrix, write_matrix
 from .reduction import (
     DEFAULT_BREAKDOWN_TOL,
@@ -77,10 +77,11 @@ class _BadMatrix(ValueError):
 
 
 def cmd_gen(family: int, n: int, out) -> int:
-    if family not in (1, 2) or n < 2:
-        print("error: family must be 1 or 2 and n >= 2", file=sys.stderr)
+    try:
+        a = FamilySpec(family, n).generate()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    a = gen_family1(n) if family == 1 else gen_family2(n)
     try:
         write_matrix(out, a)
     except OSError as exc:

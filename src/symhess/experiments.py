@@ -27,17 +27,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """A validated (family, n) pair; the one place family numbers are read."""
+
     family: int
     n: int
 
     def __post_init__(self):
-        if self.family not in (1, 2):
+        if self.family not in _GENERATORS:
             raise ValueError("family must be 1 or 2")
         if self.n < 2:
             raise ValueError("n must be >= 2")
 
     def generate(self) -> np.ndarray:
-        return gen_family1(self.n) if self.family == 1 else gen_family2(self.n)
+        return _GENERATORS[self.family](self.n)
 
 
 def _m11(n: int) -> np.ndarray:
@@ -78,6 +80,9 @@ def gen_family2(n: int) -> np.ndarray:
     return np.block([[_m11(n), _m12(n)], [m21, m22]])
 
 
+_GENERATORS = {1: gen_family1, 2: gen_family2}
+
+
 @dataclass(frozen=True)
 class SweepRow:
     n: int
@@ -96,14 +101,11 @@ def run_sweep(family: int, n_min: int, n_max: int, variants: list[str],
     """
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
-    gen = {1: gen_family1, 2: gen_family2}.get(family)
-    if gen is None:
-        raise ValueError("family must be 1 or 2")
     if opts is None:
         opts = ReductionOptions()
     rows: list[SweepRow] = []
     for n in range(n_min, n_max + 1):
-        a = gen(n)
+        a = FamilySpec(family, n).generate()
         for variant in variants:
             try:
                 res = reduce(a, variant, opts)

@@ -16,14 +16,24 @@ Every transform is applied as a similarity A <- T A T^J while the
 accumulator is updated as S <- S T^J, so a successful run returns H and a
 symplectic S with H = S^J A S.
 
+The variants differ only in the free-parameter rule and the even
+sub-step, so one table (``_VARIANT_TABLE``) holds both and one driver runs
+them all.
+
 A zero pivot a(n+j) aborts the odd sub-step (and, for jhsh/jhosh, a zero
-a(n+j+1) aborts the even one).  With ``breakdown_fallback`` enabled an
-orthogonal rescue is applied and the sub-step is retried: when the lower
-segment of the active column carries mass, a reflector concentrates it
-onto the pivot row (case B); when it does not, a short chain of
-orthogonal transforms moves upper-block mass onto the pivot row (case
-A).  A zero active column needs no elimination and the sub-step is
-skipped.
+a(n+j+1) aborts the even one).  With ``breakdown_fallback`` enabled the
+driver walks an ordered list of orthogonal rescues, retrying the sub-step
+after each: when the lower segment of the active column carries mass, a
+reflector concentrates it onto the pivot row (case B); when it does not, a
+short chain of orthogonal transforms moves upper-block mass onto the pivot
+row (case A), followed if needed by one rotation moving the diagonal entry
+down.  A zero active column needs no elimination and the sub-step is
+skipped.  An odd sub-step is rescued only at j = 1 or when H12(j, j-1) = 0:
+otherwise any symplectic transform keeping column n+j-1 in form maps e_j to
+a multiple of itself, so the pivot stays zero, and a rescue would only
+break the form.  A breakdown no rescue clears raises ``BreakdownError``, and
+so does a non-finite working column or metric (kind ``NonFinite``): a run
+never returns NaN or infinity as a result.
 """
 
 from __future__ import annotations
@@ -57,10 +67,8 @@ __all__ = [
     "SeededStrategy",
     "ParamStrategy",
     "ReductionOptions",
-    "ReductionStep",
     "ReductionResult",
     "BreakdownError",
-    "reduction_steps",
     "jhsh",
     "jhosh",
     "jhmsh",
@@ -69,8 +77,6 @@ __all__ = [
     "breakdown_fallback",
     "VARIANTS",
 ]
-
-VARIANTS = ("jhsh", "jhosh", "jhmsh", "jhmsh2")
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,7 @@ class SeededStrategy:
 
     The generator is a 64-bit LCG (a = 6364136223846793005,
     c = 1442695040888963407) restarted from ``seed`` at the beginning of
-    every reduction; draws happen in execution order, mu before rho at
-    each step.
+    every reduction; each step draws twice, mu before rho.
     """
 
     seed: int
@@ -118,35 +123,9 @@ class ReductionOptions:
             raise ValueError(f"pivot_tol must be finite and nonnegative, got {self.pivot_tol!r}")
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    """Index bookkeeping for step j: active rows and sub-space sizes."""
-
-    j: int
-    alpha_j: int  # n - j + 1, half-size of the odd sub-space
-    beta_j: int   # n - j, half-size of the even sub-space
-    rows_odd: tuple[range, range]
-    rows_even: tuple[range, range]
-
-
-def reduction_steps(n: int) -> list[ReductionStep]:
-    """The steps j = 1..n-1 of a 2n-by-2n reduction (1-based indices)."""
-    if n < 1:
-        raise ValueError("half-dimension n must be >= 1")
-    steps = []
-    for j in range(1, n):
-        steps.append(ReductionStep(
-            j=j,
-            alpha_j=n - j + 1,
-            beta_j=n - j,
-            rows_odd=(range(j, n + 1), range(n + j, 2 * n + 1)),
-            rows_even=(range(j + 1, n + 1), range(n + j + 1, 2 * n + 1)),
-        ))
-    return steps
-
-
 class BreakdownError(Exception):
-    """Reduction aborted on a numerically zero pivot."""
+    """Reduction aborted on a numerically zero pivot that no rescue cleared,
+    or on a non-finite value (kind ``NonFinite``)."""
 
     def __init__(self, step: int, substep: str, kind: str, pivot_value: float):
         self.step = step
@@ -176,34 +155,25 @@ class ReductionResult:
     fallbacks_used: tuple[tuple[int, str], ...]
 
 
-class _ParamDrawer:
-    """Per-run source of the jhsh free parameters."""
+def _lcg_draws(seed: int):
+    """The endless stream of ``SeededStrategy`` draws from ``seed``."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (6364136223846793005 * state + 1442695040888963407) & mask
+        yield 0.5 + state / 2.0 ** 64
 
-    _LCG_A = 6364136223846793005
-    _LCG_C = 1442695040888963407
-    _MASK = (1 << 64) - 1
 
-    def __init__(self, strategy: ParamStrategy, n: int):
-        self.strategy = strategy
-        if isinstance(strategy, FixedStrategy):
-            if len(strategy.mus) < n - 1 or len(strategy.rhos) < n - 1:
-                raise ValueError(
-                    f"fixed strategy needs at least {n - 1} rho and mu values")
-        self._state = strategy.seed & self._MASK if isinstance(strategy, SeededStrategy) else 0
-
-    def _draw(self) -> float:
-        self._state = (self._LCG_A * self._state + self._LCG_C) & self._MASK
-        return 0.5 + self._state / 2.0 ** 64
-
-    def mu(self, j: int) -> float:
-        if isinstance(self.strategy, FixedStrategy):
-            return self.strategy.mus[j - 1]
-        return self._draw()
-
-    def rho(self, j: int) -> float:
-        if isinstance(self.strategy, FixedStrategy):
-            return self.strategy.rhos[j - 1]
-        return self._draw()
+def _free_params(strategy: ParamStrategy, n: int):
+    """Per-step (mu, rho) pairs of a run, or None for the optimal choices."""
+    if isinstance(strategy, OptimalStrategy):
+        return None
+    if isinstance(strategy, FixedStrategy):
+        if len(strategy.mus) < n - 1 or len(strategy.rhos) < n - 1:
+            raise ValueError(f"fixed strategy needs at least {n - 1} rho and mu values")
+        return zip(strategy.mus, strategy.rhos)
+    draws = _lcg_draws(strategy.seed)
+    return zip(draws, draws)  # zip pulls mu, then rho, from the one stream
 
 
 def _rotate(c, s, x, y):
@@ -312,14 +282,13 @@ class _Driver:
         self.A = a.copy()
         self.n = a.shape[0] // 2
         self.S = np.eye(2 * self.n)
-        self.variant = variant
         self.opts = opts
         self.transcript: list[SymplecticTransform] = []
         self.fallbacks: list[tuple[int, str]] = []
-        self.optimal_params = variant != "jhsh" or isinstance(opts.strategy, OptimalStrategy)
-        self.drawer = _ParamDrawer(opts.strategy, self.n) if variant == "jhsh" else None
-        if variant == "jhmsh":
-            self._strict_upper = np.triu(np.ones((self.n, self.n), dtype=bool), 1)
+        # kept unbound: a bound method stored on self would be a reference
+        # cycle, holding the driver's arrays until a gc pass
+        free_params, self.even_substep = _VARIANT_TABLE[variant]
+        self.params = _free_params(opts.strategy, self.n) if free_params else None
 
     def similarity(self, t: SymplecticTransform) -> None:
         apply_left(t, self.A)
@@ -359,7 +328,7 @@ class _Driver:
         r21, r22 = _rotate(c, s, a21, a22)
         l11, l21 = _rotate(cl, sl, r11, r21)
         l12, l22 = _rotate(cl, sl, r12, r22)
-        right_first = self._strict_upper[:m, :m]  # blocks with p < q
+        right_first = ~np.tri(m, dtype=bool)  # blocks with p < q
         for rows, cols, value in ((up, up, l11), (up, lo, l12), (lo, up, l21), (lo, lo, l22)):
             np.copyto(A[rows, cols], value, where=right_first)
 
@@ -368,95 +337,105 @@ class _Driver:
         n = self.n
         return np.concatenate((self.A[row0 - 1:n, col - 1], self.A[n + row0 - 1:, col - 1]))
 
-    def _zero_targets(self, col: int, row0: int, keep_lower_pivot: bool) -> None:
-        # Assign exact zeros to the eliminated rows of a 1-based column:
-        # always rows row0+1..n; the odd sub-step keeps its pivot row n+row0
-        # while the even one zeroes the whole lower active segment.
+    def _check_finite(self, j: int, substep: str, col: int) -> None:
+        column = self.A[:, col - 1]
+        bad = ~np.isfinite(column)
+        if bad.any():
+            raise BreakdownError(j, substep, "NonFinite", column[bad][0])
+
+    def _zero_targets(self, j: int, col: int, row0: int) -> None:
+        # Assign exact zeros to the eliminated rows of a 1-based column of
+        # step j: rows row0+1..n and n+j+1..2n.
         if self.opts.set_exact_zeros:
-            n = self.n
-            lower_start = n + row0 if keep_lower_pivot else n + row0 - 1
-            self.A[row0:n, col - 1] = 0.0
-            self.A[lower_start:, col - 1] = 0.0
+            self.A[row0:self.n, col - 1] = 0.0
+            self.A[self.n + j:, col - 1] = 0.0
 
-    def _eliminate_sh(self, j: int, col: int, row0: int, substep: str, build) -> None:
-        """Shared odd/even symplectic-Householder elimination with fallback.
+    def _rescues(self, j: int, substep: str, col: int, row0: int):
+        """The zero-pivot rescues in the order they are tried, each applied
+        as it is reached; yields the name recorded in ``fallbacks_used``.
 
-        On a zero pivot the rescue transforms are applied as similarities
-        and the sub-step is retried; if the case-A chain still leaves no
-        pivot (the upper tail was empty), one more rotation moves the
-        diagonal entry down.  A zero active column needs no elimination.
+        First the classified case, then, for case A, one more rotation
+        moving the diagonal entry down.  There is none with the fallback
+        off, for a non-finite column, or for an odd sub-step at j > 1 whose
+        H12(j, j-1) is nonzero (see the module docstring).
         """
-        keep_pivot = substep == "odd"
-        try:
-            t = build(self._subcolumn(col, row0))
-        except Breakdown as exc:
-            if not self.opts.breakdown_fallback:
-                raise BreakdownError(j, substep, exc.kind, exc.pivot_value) from exc
-            case = _classify_fallback(self.A[:, col - 1], row0, self.n, self.opts.pivot_tol)
-            if case == "unrecoverable":
-                raise BreakdownError(j, substep, exc.kind, exc.pivot_value) from exc
-            for ft in _fallback_transforms(case, self.A[:, col - 1], row0, self.n):
-                self.similarity(ft)
+        n = self.n
+        if not self.opts.breakdown_fallback:
+            return
+        if substep == "odd" and j > 1 and self.A[j - 1, n + j - 2] != 0.0:
+            return
+        column = self.A[:, col - 1]
+        case = _classify_fallback(column, row0, n, self.opts.pivot_tol)
+        if case == "unrecoverable":
+            return
+        for t in _fallback_transforms(case, column, row0, n):
+            self.similarity(t)
+        yield case
+        if case == "case_a":
+            self.similarity(_vlg_lowering(row0, self.A[:, col - 1]))
+            yield "case_a_rotation"
+
+    def _eliminate_sh(self, j: int, substep: str, col: int, row0: int,
+                      optimal, general, param: float | None) -> None:
+        """Symplectic-Householder elimination of the active part of a column,
+        built by ``optimal(sub, tol)`` or, given a free parameter, by
+        ``general(sub, param, tol)``; on a zero pivot the next rescue is
+        applied and the build retried.  A zero active column (the
+        ``degenerate`` rescue) needs no elimination.
+        """
+        tol = self.opts.pivot_tol
+        rescues = self._rescues(j, substep, col, row0)
+        while True:
+            sub = self._subcolumn(col, row0)
+            try:
+                t = optimal(sub, tol) if param is None else general(sub, param, tol)
+                break
+            except Breakdown as exc:
+                case = next(rescues, None)
+                if case is None:
+                    raise BreakdownError(j, substep, exc.kind, exc.pivot_value) from exc
             self.fallbacks.append((j, f"{substep}_{case}"))
             if case == "degenerate":
-                self._zero_targets(col, row0, keep_pivot)
                 return
-            try:
-                t = build(self._subcolumn(col, row0))
-            except Breakdown as exc2:
-                if case != "case_a":
-                    raise BreakdownError(j, substep, exc2.kind, exc2.pivot_value) from exc2
-                self.similarity(_vlg_lowering(row0, self.A[:, col - 1]))
-                self.fallbacks.append((j, f"{substep}_case_a_rotation"))
-                try:
-                    t = build(self._subcolumn(col, row0))
-                except Breakdown as exc3:
-                    raise BreakdownError(j, substep, exc3.kind, exc3.pivot_value) from exc3
         self.similarity(embed(t, row0 - 1, self.n))
-        self._zero_targets(col, row0, keep_pivot)
 
-    def odd_substep(self, j: int) -> None:
-        tol = self.opts.pivot_tol
-        if self.optimal_params:
-            build = lambda sub: osh2(sub, tol)
-        else:
-            mu = self.drawer.mu(j)
-            build = lambda sub: sh2(sub, mu, tol)
-        self._eliminate_sh(j, j, j, "odd", build)
+    def _even_sh(self, j: int, rho: float | None) -> None:
+        self._eliminate_sh(j, "even", self.n + j, j + 1, osh1, sh1, rho)
 
-    def even_substep(self, j: int) -> None:
-        n = self.n
-        col = n + j  # 1-based working column
-        if self.variant in ("jhsh", "jhosh"):
-            tol = self.opts.pivot_tol
-            if self.optimal_params:
-                build = lambda sub: osh1(sub, tol)
-            else:
-                rho = self.drawer.rho(j)
-                build = lambda sub: sh1(sub, rho, tol)
-            self._eliminate_sh(j, col, j + 1, "even", build)
-            return
-        if self.variant == "jhmsh":
-            self._givens_sweep(j, col)
-            if j <= n - 2:
-                self.similarity(vlh(j + 1, self.A[:, col - 1]))
-        else:  # jhmsh2
-            segment = self.A[n + j:, col - 1]
-            if segment.size >= 2:
-                self.similarity(_vlh_from_segment(j + 1, segment.copy(), n))
-            self.similarity(vlg(j + 1, self.A[:, col - 1]))
-            if j <= n - 2:
-                self.similarity(vlh(j + 1, self.A[:, col - 1]))
-        self._zero_targets(col, j + 1, keep_lower_pivot=False)
+    def _even_givens(self, j: int, _rho) -> None:
+        col = self.n + j
+        self._givens_sweep(j, col)
+        if j <= self.n - 2:
+            self.similarity(vlh(j + 1, self.A[:, col - 1]))
+
+    def _even_compact(self, j: int, _rho) -> None:
+        n, col = self.n, self.n + j
+        segment = self.A[n + j:, col - 1]
+        if segment.size >= 2:
+            self.similarity(_vlh_from_segment(j + 1, segment.copy(), n))
+        self.similarity(vlg(j + 1, self.A[:, col - 1]))
+        if j <= n - 2:
+            self.similarity(vlh(j + 1, self.A[:, col - 1]))
 
     def run(self, step_hook=None) -> ReductionResult:
-        for st in reduction_steps(self.n):
-            self.odd_substep(st.j)
-            self.even_substep(st.j)
-            if step_hook is not None:
-                step_hook(st.j, self.A)
-        orth_loss = symplecticity_residual(self.S)
-        red_err = spectral_norm(self.A - adjoint_mat(self.S) @ self.a0 @ self.S)
+        n = self.n
+        # Overflow surfaces as a NonFinite breakdown rather than a warning.
+        with np.errstate(all="ignore"):
+            for j in range(1, n):
+                mu, rho = (None, None) if self.params is None else next(self.params)
+                self._check_finite(j, "odd", j)
+                self._eliminate_sh(j, "odd", j, j, osh2, sh2, mu)
+                self._zero_targets(j, j, j)
+                self._check_finite(j, "even", n + j)
+                self.even_substep(self, j, rho)
+                self._zero_targets(j, n + j, j + 1)
+                if step_hook is not None:
+                    step_hook(j, self.A)
+            orth_loss = symplecticity_residual(self.S)
+            red_err = spectral_norm(self.A - adjoint_mat(self.S) @ self.a0 @ self.S)
+        for metric in (orth_loss, red_err):
+            if not math.isfinite(metric):
+                raise BreakdownError(n - 1, "even", "NonFinite", metric)
         self.A.setflags(write=False)
         self.S.setflags(write=False)
         return ReductionResult(
@@ -469,42 +448,45 @@ class _Driver:
         )
 
 
-def _run_variant(a, variant: str, opts: ReductionOptions | None,
-                 step_hook=None) -> ReductionResult:
-    return _Driver(a, variant, opts if opts is not None else ReductionOptions()).run(step_hook)
+# variant -> (whether it takes the free parameters of opts.strategy, even
+# sub-step); the others use the minimum-condition choices osh2/osh1.
+_VARIANT_TABLE = {
+    "jhsh": (True, _Driver._even_sh),
+    "jhosh": (False, _Driver._even_sh),
+    "jhmsh": (False, _Driver._even_givens),
+    "jhmsh2": (False, _Driver._even_compact),
+}
+VARIANTS = tuple(_VARIANT_TABLE)
+
+
+def reduce(a, variant: str, opts: ReductionOptions | None = None) -> ReductionResult:
+    """Reduce ``a`` with one of the four variants, named case-insensitively."""
+    key = str(variant).lower()
+    if key not in _VARIANT_TABLE:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return _Driver(a, key, opts if opts is not None else ReductionOptions()).run()
 
 
 def jhsh(a, opts: ReductionOptions | None = None) -> ReductionResult:
     """Reduction with symplectic Householder transforms in both sub-steps;
     free parameters come from ``opts.strategy``."""
-    return _run_variant(a, "jhsh", opts)
+    return reduce(a, "jhsh", opts)
 
 
 def jhosh(a, opts: ReductionOptions | None = None) -> ReductionResult:
     """jhsh with the minimum-condition parameter choices; the strategy
     field of ``opts`` is ignored."""
-    return _run_variant(a, "jhosh", opts)
+    return reduce(a, "jhosh", opts)
 
 
 def jhmsh(a, opts: ReductionOptions | None = None) -> ReductionResult:
     """Odd sub-steps as jhosh; even sub-steps via orthogonal Van Loan
     rotations (k = n down to j+1) plus one reflector."""
-    return _run_variant(a, "jhmsh", opts)
+    return reduce(a, "jhmsh", opts)
 
 
 def jhmsh2(a, opts: ReductionOptions | None = None) -> ReductionResult:
     """jhmsh with a compact even sub-step: concentrate the lower segment
     with one reflector, rotate it away, then one reflector for the upper
     segment."""
-    return _run_variant(a, "jhmsh2", opts)
-
-
-_DISPATCH = {"jhsh": jhsh, "jhosh": jhosh, "jhmsh": jhmsh, "jhmsh2": jhmsh2}
-
-
-def reduce(a, variant: str, opts: ReductionOptions | None = None) -> ReductionResult:
-    """Dispatch to one of the four variants by (case-insensitive) name."""
-    key = str(variant).lower()
-    if key not in _DISPATCH:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return _DISPATCH[key](a, opts)
+    return reduce(a, "jhmsh2", opts)

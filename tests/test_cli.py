@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symhess import gen_family1, read_matrix, write_matrix
-from symhess.cli import main
+from symhess.cli import cmd_gen, main
 
 
 def run_cli(*args):
@@ -37,6 +37,11 @@ class TestGen:
         assert run_cli("gen", "--family", 1, "--n", 1,
                        "--out", tmp_path / "a.txt") == 2
 
+    def test_cmd_gen_bad_family_exits_2(self, tmp_path):
+        # argparse's choices do not guard a direct call
+        assert cmd_gen(3, 4, tmp_path / "a.txt") == 2
+        assert not (tmp_path / "a.txt").exists()
+
     def test_unwritable_path_exits_3(self, tmp_path):
         assert run_cli("gen", "--family", 1, "--n", 2,
                        "--out", tmp_path / "no" / "dir" / "a.txt") == 3
@@ -65,6 +70,15 @@ class TestReduce:
         assert kv["step"] == "1"
         assert kv["substep"] == "odd"
         assert kv["kind"] == "ZeroNu"
+
+    def test_overflow_exits_4(self, tmp_path, capsys):
+        a_path = tmp_path / "a.txt"
+        run_cli("gen", "--family", 2, "--n", 27, "--out", a_path)
+        code = run_cli("reduce", a_path, "--algo", "jhsh", "--strategy", "seeded:7")
+        kv = parse_kv(capsys)
+        assert code == 4
+        assert (kv["step"], kv["substep"], kv["kind"]) == ("23", "even", "NonFinite")
+        assert "orth_loss" not in kv
 
     def test_odd_sized_input_exits_5(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -1,6 +1,12 @@
+import dataclasses
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
+import symhess.reduction as reduction
 from symhess import (
     BreakdownError,
     FixedStrategy,
@@ -22,12 +28,11 @@ from symhess import (
     jhosh,
     jhsh,
     reduce,
-    reduction_steps,
     spectral_norm,
     structure_report,
     symplecticity_residual,
 )
-from symhess.reduction import _run_variant
+from symhess.reduction import _Driver
 
 VARIANTS = ("jhsh", "jhosh", "jhmsh", "jhmsh2")
 
@@ -45,6 +50,42 @@ def well_pivoted(rng, size, opts=None):
         return a
 
 
+def _transform_key(t):
+    return (type(t).__name__,) + tuple(
+        v.tobytes() if isinstance(v, np.ndarray) else v
+        for v in (getattr(t, f.name) for f in dataclasses.fields(t)))
+
+
+def _outcome(fn, a, opts=None):
+    """Everything a reduction returns, bit for bit, or the breakdown it raises."""
+    try:
+        res = fn(a, opts)
+    except BreakdownError as exc:
+        return ("breakdown", exc.step, exc.substep, exc.kind, repr(exc.pivot_value))
+    return ("ok", res.h.tobytes(), res.s.tobytes(), [_transform_key(t) for t in res.transcript],
+            res.fallbacks_used, res.orth_loss, res.red_err)
+
+
+def _lcg_fixed_strategy(seed, steps):
+    # SeededStrategy's documented generator written out on its own, its
+    # draws read as mu before rho at each step
+    a, c, mask = 6364136223846793005, 1442695040888963407, (1 << 64) - 1
+    state, draws = seed, []
+    for _ in range(2 * steps):
+        state = (a * state + c) & mask
+        draws.append(0.5 + state / 2.0 ** 64)
+    return FixedStrategy(mus=draws[0::2], rhos=draws[1::2])
+
+
+def _table_inputs():
+    for n in range(2, 13):
+        yield gen_family1(n)
+        yield gen_family2(n)
+    rng = np.random.default_rng(1600)
+    for n in (3, 6, 10, 20):
+        yield rng.standard_normal((2 * n, 2 * n))
+
+
 class TestTrivial:
     def test_2x2_is_identity_reduction(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -55,14 +96,6 @@ class TestTrivial:
             assert res.transcript == ()
             assert res.orth_loss == 0.0
             assert res.red_err == 0.0
-
-    def test_steps_bookkeeping(self):
-        steps = reduction_steps(4)
-        assert [s.j for s in steps] == [1, 2, 3]
-        assert [s.alpha_j for s in steps] == [4, 3, 2]
-        assert [s.beta_j for s in steps] == [3, 2, 1]
-        assert steps[1].rows_odd == (range(2, 5), range(6, 9))
-        assert steps[1].rows_even == (range(3, 5), range(7, 9))
 
 
 class TestInputValidation:
@@ -218,6 +251,18 @@ class TestFreeParameters:
         r2 = jhosh(a, ReductionOptions(strategy=OptimalStrategy()))
         assert np.array_equal(r1.h, r2.h)
 
+    def test_jhsh_with_optimal_strategy_is_jhosh(self):
+        opts = ReductionOptions(strategy=OptimalStrategy())
+        for a in _table_inputs():
+            assert _outcome(jhsh, a, opts) == _outcome(jhosh, a)
+
+    def test_seeded_strategy_draws_mu_then_rho(self):
+        for seed, a in enumerate(_table_inputs()):
+            n = a.shape[0] // 2
+            seeded = ReductionOptions(strategy=SeededStrategy(seed))
+            fixed = ReductionOptions(strategy=_lcg_fixed_strategy(seed, n - 1))
+            assert _outcome(jhsh, a, seeded) == _outcome(jhsh, a, fixed), seed
+
 
 class TestColumnPreservation:
     def test_columns_frozen_after_their_step(self):
@@ -226,8 +271,8 @@ class TestColumnPreservation:
         a = well_pivoted(rng, 2 * n)
         for variant in VARIANTS:
             snapshots = {}
-            _run_variant(a, variant, ReductionOptions(),
-                         step_hook=lambda j, m: snapshots.__setitem__(j, m.copy()))
+            _Driver(a, variant, ReductionOptions()).run(
+                step_hook=lambda j, m: snapshots.__setitem__(j, m.copy()))
             final = snapshots[n - 1]
             for j in range(1, n):
                 snap = snapshots[j]
@@ -255,6 +300,53 @@ class TestBreakdowns:
             assert "step 1" in str(exc)
         else:
             pytest.fail("expected a breakdown")
+
+
+class TestContract:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_families_keep_the_form_or_raise(self, variant):
+        # a returned H is exactly upper J-Hessenberg; anything else raises
+        for gen in (gen_family1, gen_family2):
+            for n in range(2, 41):
+                try:
+                    res = reduce(gen(n), variant)
+                except BreakdownError:
+                    continue
+                assert structure_report(res.h, 0.0).is_upper_j_hessenberg, (gen.__name__, n)
+
+    def test_late_odd_rescue_is_refused(self):
+        # the case-B reflector of step 13 would mix H12(13, 12) into rows
+        # 14..n of column n+12
+        with pytest.raises(BreakdownError) as exc:
+            jhosh(gen_family1(19))
+        assert (exc.value.step, exc.value.substep, exc.value.kind) == (13, "odd", "ZeroNu")
+
+    def test_odd_rescue_kept_where_h12_subdiagonal_is_zero(self):
+        # family 1 behind an already reduced plane (1, n+1): its zero pivot
+        # turns up at step 2, where H12(2, 1) = 0
+        n = 4
+        a = np.zeros((2 * n, 2 * n))
+        rest = [i for i in range(2 * n) if i not in (0, n)]
+        a[np.ix_(rest, rest)] = gen_family1(n - 1)
+        a[np.ix_([0, n], [0, n])] = [[1.0, 2.0], [3.0, 4.0]]
+        for variant in VARIANTS:
+            res = reduce(a, variant)
+            assert res.fallbacks_used == ((2, "odd_case_a"),), variant
+            assert structure_report(res.h, 0.0).is_upper_j_hessenberg, variant
+            assert res.red_err <= 1e-8 * spectral_norm(a), variant
+
+    def test_overflow_raises_non_finite(self):
+        # element growth overflows during step 23
+        with pytest.raises(BreakdownError) as exc:
+            jhsh(gen_family2(27), ReductionOptions(strategy=SeededStrategy(7)))
+        assert (exc.value.step, exc.value.substep, exc.value.kind) == (23, "even", "NonFinite")
+        assert not math.isfinite(exc.value.pivot_value)
+
+    def test_non_finite_metric_raises(self, monkeypatch):
+        monkeypatch.setattr(reduction, "symplecticity_residual", lambda s: float("nan"))
+        with pytest.raises(BreakdownError) as exc:
+            jhmsh(gen_family1(3))
+        assert (exc.value.step, exc.value.substep, exc.value.kind) == (2, "even", "NonFinite")
 
 
 class TestFallback:
@@ -364,6 +456,20 @@ class TestResultDiagnostics:
         assert structure_report(res.h, tol).is_upper_j_hessenberg
         assert res.red_err <= 1e-10 * spectral_norm(a)
 
+    def test_driver_freed_without_gc(self):
+        # a reference cycle through the driver would keep its input copy and
+        # arrays alive after the run, until the cyclic collector ran
+        gc.disable()
+        try:
+            for variant in VARIANTS:
+                driver = _Driver(gen_family1(4), variant, ReductionOptions())
+                ref = weakref.ref(driver)
+                driver.run()
+                del driver
+                assert ref() is None, variant
+        finally:
+            gc.enable()
+
     def test_negative_pivot_tol_rejected(self):
         with pytest.raises(ValueError):
             ReductionOptions(pivot_tol=-1.0)
@@ -397,10 +503,18 @@ def _jhmsh_replay_inputs():
 class TestTranscriptSimilarityReplay:
     def test_jhmsh_replay_is_bit_exact(self):
         # Without exact zeros H is exactly the product of the recorded
-        # similarities, applied one by one in transcript order.
+        # similarities, applied one by one in transcript order.  Family 2
+        # from n = 27 on needs an odd rescue at a step j > 1 with a nonzero
+        # H12(j, j-1), which the driver refuses.
         opts = ReductionOptions(set_exact_zeros=False)
-        identities = 0
+        identities = refused = 0
         for name, a in _jhmsh_replay_inputs():
+            if name.startswith("family2") and a.shape[0] >= 2 * 27:
+                with pytest.raises(BreakdownError) as exc:
+                    jhmsh(a, opts)
+                assert exc.value.substep == "odd" and exc.value.step > 1, name
+                refused += 1
+                continue
             res = jhmsh(a, opts)
             h, s = a.copy(), np.eye(a.shape[0])
             for t in res.transcript:
@@ -411,3 +525,4 @@ class TestTranscriptSimilarityReplay:
             assert np.array_equal(h, res.h), name
             assert np.array_equal(s, res.s), name
         assert identities > 0
+        assert refused == 14
