@@ -18,6 +18,7 @@ from .transforms import (
     MappingBreakdown,
     SymplecticTransform,
     TransformGivens,
+    TransformGivensSweep,
     TransformSH,
     TransformVLH,
     apply_left,
@@ -32,6 +33,7 @@ from .transforms import (
     sh1,
     sh2,
     vlg,
+    vlg_sweep,
     vlh,
 )
 from .reduction import (
@@ -67,9 +69,9 @@ __all__ = [
     "structure_report", "symplecticity_residual",
     "DEFAULT_BREAKDOWN_TOL", "Breakdown", "FreeParams", "InvalidParam",
     "MappingBreakdown", "SymplecticTransform", "TransformGivens",
-    "TransformSH", "TransformVLH", "apply_left", "apply_right_adjoint",
-    "cond2", "densify", "densify_adjoint", "embed", "general_mapping",
-    "osh1", "osh2", "sh1", "sh2", "vlg", "vlh",
+    "TransformGivensSweep", "TransformSH", "TransformVLH", "apply_left",
+    "apply_right_adjoint", "cond2", "densify", "densify_adjoint", "embed",
+    "general_mapping", "osh1", "osh2", "sh1", "sh2", "vlg", "vlg_sweep", "vlh",
     "VARIANTS", "BreakdownError", "FixedStrategy", "OptimalStrategy",
     "ParamStrategy", "ReductionOptions", "ReductionResult",
     "SeededStrategy", "breakdown_fallback", "jhmsh", "jhmsh2", "jhosh",

@@ -139,9 +139,13 @@ def cmd_reduce(input, algo: str, strategy: str = "optimal", fallback: bool = Tru
 
 def cmd_experiment(family: int, n_min: int, n_max: int, algos: list[str],
                    format: str = "csv", out=None) -> int:
-    if family not in (1, 2) or not 2 <= n_min <= n_max or not algos:
-        print("error: need family in {1,2}, 2 <= n-min <= n-max and at least one algo",
-              file=sys.stderr)
+    try:
+        FamilySpec(family, n_min)  # the family and n-min >= 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if n_min > n_max or not algos:
+        print("error: need n-min <= n-max and at least one algo", file=sys.stderr)
         return EXIT_USAGE
     for algo in algos:
         if algo not in VARIANTS:
@@ -196,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a benchmark family matrix")
-    p.add_argument("--family", type=int, required=True, choices=(1, 2))
+    p.add_argument("--family", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
 
@@ -212,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-s", default=None)
 
     p = sub.add_parser("experiment", help="sweep a family over a size range")
-    p.add_argument("--family", type=int, required=True, choices=(1, 2))
+    p.add_argument("--family", type=int, required=True)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--algos", required=True,

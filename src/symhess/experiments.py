@@ -34,7 +34,7 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.family not in _GENERATORS:
-            raise ValueError("family must be 1 or 2")
+            raise ValueError("family must be " + " or ".join(map(str, _GENERATORS)))
         if self.n < 2:
             raise ValueError("n must be >= 2")
 

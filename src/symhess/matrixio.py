@@ -20,10 +20,11 @@ def write_matrix(path, m) -> None:
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    line = " ".join(["%.17g"] * a.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{a.shape[0]} {a.shape[1]}\n")
         for row in a:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -42,7 +43,7 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixFormatError(
             f"{path}: expected {rows * cols} values, found {len(tokens)}")
     try:
-        data = np.array([float(t) for t in tokens], dtype=np.float64)
+        data = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: non-numeric token") from exc
     if not np.all(np.isfinite(data)):

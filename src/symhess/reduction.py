@@ -49,6 +49,7 @@ from .transforms import (
     Breakdown,
     SymplecticTransform,
     TransformGivens,
+    _rotate,
     _vlh_from_segment,
     apply_left,
     apply_right_adjoint,
@@ -58,6 +59,7 @@ from .transforms import (
     sh1,
     sh2,
     vlg,
+    vlg_sweep,
     vlh,
 )
 
@@ -142,7 +144,8 @@ class ReductionResult:
     """Outcome of a successful reduction: H = S^J A S.
 
     ``transcript`` lists the applied transforms in order; replaying their
-    adjoints from the identity reproduces S.  ``orth_loss`` is
+    adjoints from the identity reproduces S.  A ``jhmsh`` Givens sweep is
+    one ``TransformGivensSweep`` record.  ``orth_loss`` is
     ||I - S^J S||_2 and ``red_err`` is ||H - S^J A S||_2 against the
     original input.
     """
@@ -174,11 +177,6 @@ def _free_params(strategy: ParamStrategy, n: int):
         return zip(strategy.mus, strategy.rhos)
     draws = _lcg_draws(strategy.seed)
     return zip(draws, draws)  # zip pulls mu, then rho, from the one stream
-
-
-def _rotate(c, s, x, y):
-    """Givens pairs (c x + s y, -s x + c y), elementwise with broadcasting."""
-    return c * x + s * y, -s * x + c * y
 
 
 def _vlg_lowering(k: int, a: np.ndarray) -> SymplecticTransform:
@@ -297,38 +295,28 @@ class _Driver:
         self.transcript.append(t)
 
     def _givens_sweep(self, j: int, col: int) -> None:
-        """Apply the similarities by vlg(k, column), k = n down to j+1, at once.
+        """Apply the similarities by vlg(k, column), k = n down to j+1, as one
+        ``vlg_sweep`` record.
 
-        Rotation k acts in its own plane (k, n+k) and reads only rows k and
-        n+k of the working column, which no other rotation of the sweep
-        touches, so all of them are built from the column as it stands.
-        They are applied by slices with the arithmetic of ``apply_left`` and
-        ``apply_right_adjoint``.  Applied one by one from k = n down, the
-        rotations gave the 2x2 block with row plane p and column plane q its
-        left rotation first when p >= q and its right rotation first when
-        p < q; the p < q blocks are recomputed in that order from the saved
-        entries, so H and S equal those of the one-by-one sweep bit for bit.
+        Applied one by one from k = n down, the rotations gave the 2x2 block
+        with row plane p and column plane q its left rotation first when
+        p >= q and its right rotation first when p < q.  The record applies
+        left first throughout, so the p < q blocks of the active square are
+        recomputed right-then-left from the saved entries, and H and S equal
+        those of the one-by-one sweep bit for bit.
         """
-        n, A, S = self.n, self.A, self.S
-        m = n - j
+        n, A = self.n, self.A
         up, lo = slice(j, n), slice(n + j, 2 * n)
-        f, g = A[up, col - 1], A[lo, col - 1]
-        r = np.hypot(f, g)
-        nonzero = r != 0.0
-        c = np.divide(f, r, out=np.ones(m), where=nonzero)  # identity where r == 0
-        s = np.divide(g, r, out=np.zeros(m), where=nonzero)
-        self.transcript.extend(TransformGivens(k, ck, sk, n) for k, ck, sk
-                               in zip(range(n, j, -1), c[::-1].tolist(), s[::-1].tolist()))
-        cl, sl = c[:, None], s[:, None]
+        t = vlg_sweep(j + 1, A[:, col - 1])
         a11, a12, a21, a22 = (A[rows, cols].copy() for rows in (up, lo) for cols in (up, lo))
-        A[up], A[lo] = _rotate(cl, sl, A[up], A[lo])
-        for x in (A, S):
-            x[:, up], x[:, lo] = _rotate(c, s, x[:, up], x[:, lo])
+        self.similarity(t)
+        c, s = t.c, t.s
+        cl, sl = c[:, None], s[:, None]
         r11, r12 = _rotate(c, s, a11, a12)
         r21, r22 = _rotate(c, s, a21, a22)
         l11, l21 = _rotate(cl, sl, r11, r21)
         l12, l22 = _rotate(cl, sl, r12, r22)
-        right_first = ~np.tri(m, dtype=bool)  # blocks with p < q
+        right_first = ~np.tri(n - j, dtype=bool)  # blocks with p < q
         for rows, cols, value in ((up, up, l11), (up, lo, l12), (lo, up, l21), (lo, lo, l22)):
             np.copyto(A[rows, cols], value, where=right_first)
 

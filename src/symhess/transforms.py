@@ -1,11 +1,14 @@
 """Elementary symplectic transformations.
 
-Three kinds appear in the reduction:
+Four kinds appear in the reduction:
 
 * ``TransformSH``     rank-one symplectic Householder  T = I + c v v^J,
                       with adjoint T^J = I - c v v^J
 * ``TransformGivens`` plane rotation in coordinates (k, n+k); orthogonal
                       and symplectic
+* ``TransformGivensSweep`` the rotations in the disjoint planes (k, n+k),
+                      k = k0..n, held as two arrays; ``rotations()``
+                      lists them one by one
 * ``TransformVLH``    the same ordinary Householder reflector applied to
                       rows k..n and n+k..2n; orthogonal and symplectic
 
@@ -37,6 +40,7 @@ __all__ = [
     "FreeParams",
     "TransformSH",
     "TransformGivens",
+    "TransformGivensSweep",
     "TransformVLH",
     "SymplecticTransform",
     "general_mapping",
@@ -45,6 +49,7 @@ __all__ = [
     "osh1",
     "osh2",
     "vlg",
+    "vlg_sweep",
     "vlh",
     "embed",
     "apply_left",
@@ -154,6 +159,44 @@ class TransformGivens:
 
 
 @dataclass(frozen=True, eq=False)
+class TransformGivensSweep:
+    """Rotations by (c[i], s[i]) in the planes (k0+i, n+k0+i), i = 0..n-k0.
+
+    The planes are disjoint, so the rotations commute and apply at once by
+    slices; k0 is 1-based.  A sweep applies every plane, identity planes
+    (c = 1, s = 0) included, where an identity ``TransformGivens`` is
+    skipped; on finite entries the two differ at most in the sign of a zero.
+    """
+
+    k0: int
+    c: np.ndarray
+    s: np.ndarray
+    n: int
+
+    def __post_init__(self):
+        if not 1 <= self.k0 <= self.n:
+            raise ValueError("k0 must lie in 1..n")
+        if self.c.shape != (self.n - self.k0 + 1,) or self.s.shape != self.c.shape:
+            raise ValueError("c and s must both have length n - k0 + 1")
+        if not np.all(np.abs(self.c * self.c + self.s * self.s - 1.0) <= 1e-14):
+            raise ValueError("c^2 + s^2 must equal 1")
+
+    @property
+    def is_identity(self) -> bool:
+        return bool(np.all(self.c == 1.0) and np.all(self.s == 0.0))
+
+    def adjoint(self) -> "TransformGivensSweep":
+        return TransformGivensSweep(self.k0, self.c, -self.s, self.n)
+
+    def rotations(self) -> list[TransformGivens]:
+        """The sweep as single rotations, k = n down to k0 (the order of the
+        one-by-one sweep)."""
+        return [TransformGivens(k, c, s, self.n) for k, c, s
+                in zip(range(self.n, self.k0 - 1, -1), self.c[::-1].tolist(),
+                       self.s[::-1].tolist())]
+
+
+@dataclass(frozen=True, eq=False)
 class TransformVLH:
     """Direct sum of one reflector P = I - beta w w^T on rows k..n and n+k..2n.
 
@@ -184,7 +227,7 @@ class TransformVLH:
         return self  # symmetric and orthogonal
 
 
-SymplecticTransform = TransformSH | TransformGivens | TransformVLH
+SymplecticTransform = TransformSH | TransformGivens | TransformGivensSweep | TransformVLH
 
 
 def _as_vector(a) -> np.ndarray:
@@ -324,6 +367,24 @@ def vlg(k: int, a) -> TransformGivens:
     return TransformGivens(k, f / r, g / r, n)
 
 
+def vlg_sweep(k0: int, a) -> TransformGivensSweep:
+    """The rotations vlg(k, a), k = k0..n, as one sweep record.
+
+    Each reads only rows k and n+k of ``a``, so all of them are built from
+    ``a`` as it stands, with ``vlg``'s arithmetic.
+    """
+    av = _as_vector(a)
+    n = av.size // 2
+    if not 1 <= k0 <= n:
+        raise ValueError("k0 must lie in 1..n")
+    f, g = av[k0 - 1:n], av[n + k0 - 1:]
+    r = np.hypot(f, g)
+    nonzero = r != 0.0
+    c = np.divide(f, r, out=np.ones(f.size), where=nonzero)  # identity where r == 0
+    s = np.divide(g, r, out=np.zeros(f.size), where=nonzero)
+    return TransformGivensSweep(k0, c, s, n)
+
+
 def _vlh_from_segment(k: int, segment: np.ndarray, n: int) -> TransformVLH:
     """Reflector concentrating ``segment`` into its first entry.
 
@@ -387,6 +448,11 @@ def _check_cols(t: SymplecticTransform, m: np.ndarray) -> int:
     return n
 
 
+def _rotate(c, s, x, y):
+    """Givens pairs (c x + s y, -s x + c y), elementwise with broadcasting."""
+    return c * x + s * y, -s * x + c * y
+
+
 def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
     """In-place M <- T M.  Accepts a 2n-vector or a 2n-by-k matrix."""
     if isinstance(t, TransformSH):
@@ -401,17 +467,19 @@ def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
             m[lo] += coef * t.w
         else:
             row = t.u @ m[lo, :] - t.w @ m[up, :]  # v^J M on the support
-            m[up, :] += t.c * np.outer(t.u, row)
-            m[lo, :] += t.c * np.outer(t.w, row)
+            m[up, :] += t.c * (t.u[:, None] * row)
+            m[lo, :] += t.c * (t.w[:, None] * row)
     elif isinstance(t, TransformGivens):
         n = _check_rows(t, m)
         if t.is_identity:
             return
         i, j = t.k - 1, n + t.k - 1
-        ri = t.c * m[i] + t.s * m[j]
-        rj = -t.s * m[i] + t.c * m[j]
-        m[i] = ri
-        m[j] = rj
+        m[i], m[j] = _rotate(t.c, t.s, m[i], m[j])
+    elif isinstance(t, TransformGivensSweep):
+        n = _check_rows(t, m)
+        up, lo = slice(t.k0 - 1, n), slice(n + t.k0 - 1, 2 * n)
+        c, s = (t.c, t.s) if m.ndim == 1 else (t.c[:, None], t.s[:, None])
+        m[up], m[lo] = _rotate(c, s, m[up], m[lo])
     elif isinstance(t, TransformVLH):
         n = _check_rows(t, m)
         if t.is_identity:
@@ -420,7 +488,7 @@ def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
             if m.ndim == 1:
                 m[block] -= (t.beta * (t.w @ m[block])) * t.w
             else:
-                m[block, :] -= t.beta * np.outer(t.w, t.w @ m[block, :])
+                m[block, :] -= t.beta * (t.w[:, None] * (t.w @ m[block, :]))
     else:
         raise TypeError(f"not a symplectic transform: {type(t).__name__}")
 
@@ -437,23 +505,24 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
         up = slice(t.offset, n)
         lo = slice(n + t.offset, 2 * n)
         mv = m[:, up] @ t.u + m[:, lo] @ t.w
-        m[:, up] += t.c * np.outer(mv, t.w)
-        m[:, lo] -= t.c * np.outer(mv, t.u)
+        m[:, up] += t.c * (mv[:, None] * t.w)
+        m[:, lo] -= t.c * (mv[:, None] * t.u)
     elif isinstance(t, TransformGivens):
         n = _check_cols(t, m)
         if t.is_identity:
             return
         i, j = t.k - 1, n + t.k - 1
-        ci = t.c * m[:, i] + t.s * m[:, j]
-        cj = -t.s * m[:, i] + t.c * m[:, j]
-        m[:, i] = ci
-        m[:, j] = cj
+        m[:, i], m[:, j] = _rotate(t.c, t.s, m[:, i], m[:, j])
+    elif isinstance(t, TransformGivensSweep):
+        n = _check_cols(t, m)
+        up, lo = slice(t.k0 - 1, n), slice(n + t.k0 - 1, 2 * n)
+        m[:, up], m[:, lo] = _rotate(t.c, t.s, m[:, up], m[:, lo])
     elif isinstance(t, TransformVLH):
         n = _check_cols(t, m)
         if t.is_identity:
             return
         for block in (slice(t.k - 1, n), slice(n + t.k - 1, 2 * n)):
-            m[:, block] -= t.beta * np.outer(m[:, block] @ t.w, t.w)
+            m[:, block] -= t.beta * ((m[:, block] @ t.w)[:, None] * t.w)
     else:
         raise TypeError(f"not a symplectic transform: {type(t).__name__}")
 
@@ -473,6 +542,11 @@ def densify(t: SymplecticTransform) -> np.ndarray:
         out[i, j] = t.s
         out[j, i] = -t.s
         out[j, j] = t.c
+    elif isinstance(t, TransformGivensSweep):
+        i = np.arange(t.k0 - 1, n)
+        out[i, i] = out[i + n, i + n] = t.c
+        out[i, i + n] = t.s
+        out[i + n, i] = -t.s
     elif isinstance(t, TransformVLH):
         if not t.is_identity:
             p = np.eye(t.w.size) - t.beta * np.outer(t.w, t.w)

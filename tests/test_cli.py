@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symhess
 from symhess import gen_family1, read_matrix, write_matrix
 from symhess.cli import cmd_gen, main
 
@@ -38,7 +41,6 @@ class TestGen:
                        "--out", tmp_path / "a.txt") == 2
 
     def test_cmd_gen_bad_family_exits_2(self, tmp_path):
-        # argparse's choices do not guard a direct call
         assert cmd_gen(3, 4, tmp_path / "a.txt") == 2
         assert not (tmp_path / "a.txt").exists()
 
@@ -181,6 +183,15 @@ class TestExperiment:
         assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 3,
                        "--algos", "nope") == 2
 
+    def test_unknown_family_exits_2(self, capsys):
+        assert run_cli("experiment", "--family", 3, "--n-min", 2, "--n-max", 3,
+                       "--algos", "jhmsh") == 2
+        assert "family must be 1 or 2" in capsys.readouterr().err
+
+    def test_small_n_min_exits_2(self):
+        assert run_cli("experiment", "--family", 1, "--n-min", 1, "--n-max", 3,
+                       "--algos", "jhmsh") == 2
+
     def test_invalid_range_exits_2(self):
         assert run_cli("experiment", "--family", 1, "--n-min", 5, "--n-max", 3,
                        "--algos", "jhmsh") == 2
@@ -189,10 +200,14 @@ class TestExperiment:
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "a.txt"
+        # the child imports the package this test imported, installed or not
+        root = str(Path(symhess.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (root, os.environ.get("PYTHONPATH"))))}
         proc = subprocess.run(
             [sys.executable, "-m", "symhess", "gen", "--family", "2",
              "--n", "3", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert out.exists()
 

@@ -22,6 +22,14 @@ class TestRoundTrip:
         assert np.array_equal(back, m)
         assert np.signbit(back[0, 1])  # -0.0 survives
 
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        m = np.array([[-0.0, 2.0 ** -1074, 1.7976931348623157e308, 1.0 / 3.0],
+                      [0.0, 1.0, -7.0, 123456789.0]])
+        path = tmp_path / "m.txt"
+        write_matrix(path, m)
+        want = "2 4\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in m)
+        assert path.read_bytes() == want.encode()
+
     def test_header_and_layout(self, tmp_path):
         path = tmp_path / "m.txt"
         write_matrix(path, np.eye(2))
@@ -60,6 +68,16 @@ class TestErrors:
         path.write_text("1 2\n1 abc\n")
         with pytest.raises(MatrixFormatError):
             read_matrix(path)
+
+    def test_tokens_parse_as_python_float(self, tmp_path):
+        # a token is read exactly when float() reads it
+        path = tmp_path / "m.txt"
+        path.write_text("1 4\n1_000 +.5e1 1E-3 -2\n")
+        assert np.array_equal(read_matrix(path), [[1000.0, 5.0, 1e-3, -2.0]])
+        for bad in ("0x10", "1__0", "1e500"):
+            path.write_text(f"1 2\n1 {bad}\n")
+            with pytest.raises(MatrixFormatError):
+                read_matrix(path)
 
     def test_nonfinite_rejected(self, tmp_path):
         path = tmp_path / "m.txt"

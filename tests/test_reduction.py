@@ -14,6 +14,7 @@ from symhess import (
     ReductionOptions,
     SeededStrategy,
     TransformGivens,
+    TransformGivensSweep,
     TransformSH,
     TransformVLH,
     adjoint_mat,
@@ -172,7 +173,7 @@ class TestFactorization:
         assert all(isinstance(t, TransformSH) for t in jhosh(a).transcript)
         for res in (jhmsh(a), jhmsh2(a)):
             orthogonal = [t for t in res.transcript
-                          if isinstance(t, (TransformGivens, TransformVLH))]
+                          if isinstance(t, (TransformGivens, TransformGivensSweep, TransformVLH))]
             sh_kind = [t for t in res.transcript if isinstance(t, TransformSH)]
             # odd sub-steps only contribute SH transforms, even only orthogonal
             assert len(sh_kind) == 8 // 2 - 1
@@ -503,7 +504,8 @@ def _jhmsh_replay_inputs():
 class TestTranscriptSimilarityReplay:
     def test_jhmsh_replay_is_bit_exact(self):
         # Without exact zeros H is exactly the product of the recorded
-        # similarities, applied one by one in transcript order.  Family 2
+        # similarities, applied one by one in transcript order, each sweep
+        # record as its single rotations (the one-by-one sweep).  Family 2
         # from n = 27 on needs an odd rescue at a step j > 1 with a nonzero
         # H12(j, j-1), which the driver refuses.
         opts = ReductionOptions(set_exact_zeros=False)
@@ -517,12 +519,44 @@ class TestTranscriptSimilarityReplay:
                 continue
             res = jhmsh(a, opts)
             h, s = a.copy(), np.eye(a.shape[0])
-            for t in res.transcript:
-                apply_left(t, h)
-                apply_right_adjoint(t, h)
-                apply_right_adjoint(t, s)
-                identities += isinstance(t, TransformGivens) and t.is_identity
+            for record in res.transcript:
+                sweep = isinstance(record, TransformGivensSweep)
+                for t in record.rotations() if sweep else [record]:
+                    apply_left(t, h)
+                    apply_right_adjoint(t, h)
+                    apply_right_adjoint(t, s)
+                    identities += isinstance(t, TransformGivens) and t.is_identity
             assert np.array_equal(h, res.h), name
             assert np.array_equal(s, res.s), name
         assert identities > 0
         assert refused == 14
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_transcript_rebuilds_s_bit_exact(self, variant):
+        # S is the product of the recorded adjoints, applied from the
+        # identity in transcript order, sweep records whole
+        inputs = [gen(n) for n in range(2, 41) for gen in (gen_family1, gen_family2)]
+        inputs += [np.random.default_rng([1500, seed]).standard_normal((2 * n, 2 * n))
+                   for seed, n in enumerate((3, 7, 15, 30))]
+        reduced = 0
+        for a in inputs:
+            try:
+                res = reduce(a, variant)
+            except BreakdownError:
+                continue
+            s = np.eye(a.shape[0])
+            for t in res.transcript:
+                apply_right_adjoint(t, s)
+            assert np.array_equal(s, res.s), (variant, a.shape)
+            reduced += 1
+        assert reduced >= len(inputs) // 2
+
+    def test_jhmsh_records_one_sweep_per_step(self):
+        n = 50
+        res = jhmsh(np.random.default_rng([1500, 50]).standard_normal((2 * n, 2 * n)))
+        assert res.fallbacks_used == ()
+        kinds = [type(t) for t in res.transcript]
+        assert (kinds.count(TransformSH), kinds.count(TransformGivensSweep),
+                kinds.count(TransformVLH)) == (n - 1, n - 1, n - 2)
+        sweeps = [t for t in res.transcript if isinstance(t, TransformGivensSweep)]
+        assert [t.k0 for t in sweeps] == list(range(2, n + 1))

@@ -6,6 +6,7 @@ from symhess import (
     InvalidParam,
     MappingBreakdown,
     TransformGivens,
+    TransformGivensSweep,
     apply_left,
     apply_right_adjoint,
     cond2,
@@ -21,6 +22,7 @@ from symhess import (
     spectral_norm,
     symplecticity_residual,
     vlg,
+    vlg_sweep,
     vlh,
 )
 
@@ -187,6 +189,65 @@ class TestVlg:
         apply_left(t, out)
         untouched = [0, 2, 3, 5]
         assert np.array_equal(out[untouched], m[untouched])
+
+
+class TestVlgSweep:
+    def _column(self, rng, n):
+        a = rng.standard_normal(2 * n)
+        a[[1, n + 1]] = 0.0  # plane 2 is an identity rotation
+        return a
+
+    def test_rotations_are_vlg_per_plane(self):
+        rng = np.random.default_rng(30)
+        n = 6
+        a = self._column(rng, n)
+        for k0 in range(1, n + 1):
+            t = vlg_sweep(k0, a)
+            got = [(r.k, r.c, r.s, r.n) for r in t.rotations()]
+            want = [(r.k, r.c, r.s, r.n) for r in (vlg(k, a) for k in range(n, k0 - 1, -1))]
+            assert got == want
+
+    def test_applies_as_its_rotations_bit_for_bit(self):
+        # the planes are disjoint, so a one-sided update by the whole sweep
+        # is the rotations' updates, one by one
+        rng = np.random.default_rng(31)
+        n = 5
+        t = vlg_sweep(2, self._column(rng, n))
+        m = rng.standard_normal((2 * n, 2 * n))
+        for apply, target in ((apply_left, m), (apply_left, m[:, 0]), (apply_right_adjoint, m)):
+            whole, single = target.copy(), target.copy()
+            apply(t, whole)
+            for r in t.rotations():
+                apply(r, single)
+            assert np.array_equal(whole, single)
+
+    def test_densify_and_adjoint(self):
+        rng = np.random.default_rng(32)
+        n = 4
+        t = vlg_sweep(2, self._column(rng, n))
+        d = densify(t)
+        product = np.eye(2 * n)
+        for r in t.rotations():
+            product = densify(r) @ product
+        assert np.array_equal(d, product)
+        assert spectral_norm(d.T @ d - np.eye(2 * n)) <= 1e-13
+        assert symplecticity_residual(d) <= 1e-13
+        assert np.array_equal(densify(t.adjoint()), d.T)
+        assert np.array_equal(densify_adjoint(t), d.T)
+
+    def test_identity(self):
+        t = vlg_sweep(1, np.zeros(6))
+        assert t.is_identity
+        assert all(r.is_identity for r in t.rotations())
+        assert not vlg_sweep(1, np.array([1.0, 0.0, 1.0, 0.0])).is_identity
+
+    def test_rejects_bad_fields(self):
+        with pytest.raises(ValueError):
+            vlg_sweep(0, np.ones(4))
+        with pytest.raises(ValueError):
+            TransformGivensSweep(2, np.ones(2), np.zeros(2), 2)
+        with pytest.raises(ValueError):
+            TransformGivensSweep(1, np.ones(2), np.ones(2), 2)
 
 
 class TestVlh:
