@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reduction import BreakdownError, ReductionOptions, reduce
+from .reduction import BreakdownError, ReductionOptions, _algorithm, reduce
 
 __all__ = [
     "FamilySpec",
@@ -97,24 +97,34 @@ def run_sweep(family: int, n_min: int, n_max: int, variants: list[str],
               opts: ReductionOptions | None = None) -> list[SweepRow]:
     """Run every variant on every size of a family and collect both metrics.
 
-    Breakdowns are recorded per row rather than raised.
+    Breakdowns are recorded per row rather than raised.  Variants that run
+    the same algorithm (``jhsh`` under ``OptimalStrategy`` is ``jhosh``)
+    are reduced once per size and share the outcome; each row keeps the
+    caller's label.
     """
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
     if opts is None:
         opts = ReductionOptions()
+    algorithms = [_algorithm(variant, opts) for variant in variants]  # names checked up front
     rows: list[SweepRow] = []
     for n in range(n_min, n_max + 1):
         a = FamilySpec(family, n).generate()
-        for variant in variants:
-            try:
-                res = reduce(a, variant, opts)
-            except BreakdownError:
-                rows.append(SweepRow(n, variant, None, None, 0, "breakdown"))
-            else:
-                rows.append(SweepRow(n, variant, res.orth_loss, res.red_err,
-                                     len(res.fallbacks_used), "ok"))
+        outcomes: dict = {}
+        for variant, algorithm in zip(variants, algorithms):
+            if algorithm not in outcomes:
+                outcomes[algorithm] = _outcome(a, variant, opts)
+            rows.append(SweepRow(n, variant, *outcomes[algorithm]))
     return rows
+
+
+def _outcome(a: np.ndarray, variant: str, opts: ReductionOptions):
+    """(orth_loss, red_err, fallback count, status) of one reduction."""
+    try:
+        res = reduce(a, variant, opts)
+    except BreakdownError:
+        return None, None, 0, "breakdown"
+    return res.orth_loss, res.red_err, len(res.fallbacks_used), "ok"
 
 
 def _fmt(value: float | None) -> str:

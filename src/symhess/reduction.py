@@ -269,6 +269,9 @@ def breakdown_fallback(column, j: int,
 
 class _Driver:
     def __init__(self, a: np.ndarray, variant: str, opts: ReductionOptions):
+        # kept unbound: a bound method stored on self would be a reference
+        # cycle, holding the driver's arrays until a gc pass
+        self.even_substep, strategy = _algorithm(variant, opts)
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"input must be a square matrix, got shape {a.shape}")
@@ -276,17 +279,15 @@ class _Driver:
             raise ValueError(f"input size must be even, got {a.shape[0]}")
         if not np.all(np.isfinite(a)):
             raise ValueError("input must be finite")
-        self.a0 = a.copy()
+        # read in place (copied only when not C-ordered), once, for red_err
+        self.a0 = np.ascontiguousarray(a)
         self.A = a.copy()
         self.n = a.shape[0] // 2
         self.S = np.eye(2 * self.n)
         self.opts = opts
         self.transcript: list[SymplecticTransform] = []
         self.fallbacks: list[tuple[int, str]] = []
-        # kept unbound: a bound method stored on self would be a reference
-        # cycle, holding the driver's arrays until a gc pass
-        free_params, self.even_substep = _VARIANT_TABLE[variant]
-        self.params = _free_params(opts.strategy, self.n) if free_params else None
+        self.params = _free_params(strategy, self.n)
 
     def similarity(self, t: SymplecticTransform) -> None:
         apply_left(t, self.A)
@@ -447,12 +448,27 @@ _VARIANT_TABLE = {
 VARIANTS = tuple(_VARIANT_TABLE)
 
 
-def reduce(a, variant: str, opts: ReductionOptions | None = None) -> ReductionResult:
-    """Reduce ``a`` with one of the four variants, named case-insensitively."""
+def _algorithm(variant: str, opts: ReductionOptions):
+    """The (even sub-step, parameter strategy) pair a run of ``variant``,
+    named case-insensitively, executes under ``opts``.
+
+    Two variants with equal pairs compute the same result: ``jhsh`` under
+    ``OptimalStrategy`` is ``jhosh``.
+    """
     key = str(variant).lower()
     if key not in _VARIANT_TABLE:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return _Driver(a, key, opts if opts is not None else ReductionOptions()).run()
+    free_params, even_substep = _VARIANT_TABLE[key]
+    return even_substep, opts.strategy if free_params else OptimalStrategy()
+
+
+def reduce(a, variant: str, opts: ReductionOptions | None = None) -> ReductionResult:
+    """Reduce ``a`` with one of the four variants, named case-insensitively.
+
+    ``a`` is read in place, not copied, so it must not change during the
+    call.
+    """
+    return _Driver(a, variant, opts if opts is not None else ReductionOptions()).run()
 
 
 def jhsh(a, opts: ReductionOptions | None = None) -> ReductionResult:

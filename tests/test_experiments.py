@@ -1,16 +1,36 @@
 import numpy as np
 import pytest
 
+import symhess.experiments as experiments
 from symhess import (
+    VARIANTS,
+    BreakdownError,
     FamilySpec,
     ReductionOptions,
+    SeededStrategy,
     SweepRow,
     emit_table,
     gen_family1,
     gen_family2,
     make_j,
+    reduce,
     run_sweep,
 )
+
+SEEDED = ReductionOptions(strategy=SeededStrategy(7))
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """The variant names ``run_sweep`` passes to ``reduce``, in call order."""
+    calls = []
+
+    def counting_reduce(a, variant, opts=None):
+        calls.append(variant)
+        return reduce(a, variant, opts)
+
+    monkeypatch.setattr(experiments, "reduce", counting_reduce)
+    return calls
 
 
 class TestFamily1:
@@ -123,6 +143,47 @@ class TestRunSweep:
             run_sweep(3, 2, 4, ["jhmsh"])
         with pytest.raises(ValueError):
             run_sweep(1, 5, 4, ["jhmsh"])
+
+    def test_unknown_variant_rejected_before_any_reduction(self, reduce_calls):
+        with pytest.raises(ValueError, match="'nope'"):
+            run_sweep(1, 2, 3, ["jhmsh", "nope"])
+        assert reduce_calls == []
+
+
+class TestSweepSharesReductions:
+    @pytest.mark.parametrize("opts", [ReductionOptions(), SEEDED], ids=["optimal", "seeded"])
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_rows_equal_direct_reductions(self, family, opts):
+        rows = run_sweep(family, 2, 12, list(VARIANTS), opts)
+        assert [(r.n, r.variant) for r in rows] == [
+            (n, v) for n in range(2, 13) for v in VARIANTS]
+        for row in rows:
+            try:
+                res = reduce(FamilySpec(family, row.n).generate(), row.variant, opts)
+            except BreakdownError:
+                expect = SweepRow(row.n, row.variant, None, None, 0, "breakdown")
+            else:
+                expect = SweepRow(row.n, row.variant, res.orth_loss, res.red_err,
+                                  len(res.fallbacks_used), "ok")
+            assert row == expect
+
+    @pytest.mark.parametrize("opts, calls_per_n", [(ReductionOptions(), 3), (SEEDED, 4)],
+                             ids=["optimal", "seeded"])
+    def test_one_reduction_per_distinct_algorithm(self, reduce_calls, opts, calls_per_n):
+        run_sweep(1, 2, 5, list(VARIANTS), opts)
+        assert len(reduce_calls) == 4 * calls_per_n
+
+    def test_repeated_name_reduced_once(self, reduce_calls):
+        rows = run_sweep(1, 3, 3, ["jhmsh", "JHMSH"])
+        assert reduce_calls == ["jhmsh"]
+        assert [r.variant for r in rows] == ["jhmsh", "JHMSH"]
+        assert rows[0].orth_loss == rows[1].orth_loss and rows[0].red_err == rows[1].red_err
+
+    def test_seeded_jhsh_is_not_jhosh(self):
+        rows = run_sweep(1, 2, 12, ["jhsh", "jhosh"], SEEDED)
+        jhsh_rows, jhosh_rows = rows[0::2], rows[1::2]
+        assert any((a.orth_loss, a.red_err, a.status) != (b.orth_loss, b.red_err, b.status)
+                   for a, b in zip(jhsh_rows, jhosh_rows))
 
 
 class TestEmitTable:

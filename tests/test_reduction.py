@@ -450,6 +450,29 @@ class TestResultDiagnostics:
         a[:] = 0.0
         assert np.array_equal(res.h, h0)
 
+    def test_input_read_in_place(self):
+        a = gen_family1(4)
+        assert _Driver(a, "jhmsh", ReductionOptions()).a0 is a
+
+    @pytest.mark.parametrize("layout", ["C", "F", "int64"])
+    def test_input_unchanged(self, layout):
+        g = np.random.default_rng(1150).integers(-5, 6, (8, 8))
+        a = {"C": g.astype(float), "F": np.asfortranarray(g.astype(float)), "int64": g}[layout]
+        before = a.copy()
+        for variant in VARIANTS:
+            try:
+                reduce(a, variant)
+            except BreakdownError:
+                pass
+            assert a.dtype == before.dtype and np.array_equal(a, before), variant
+
+    def test_red_err_of_fortran_ordered_input(self):
+        # at this size the product's rounding depends on the layout of A
+        a = np.asfortranarray(np.random.default_rng([1160, 0]).standard_normal((20, 20)))
+        res = jhmsh(a)
+        c_ordered = np.array(a, order="C")
+        assert res.red_err == spectral_norm(res.h - adjoint_mat(res.s) @ c_ordered @ res.s)
+
     def test_without_exact_zeros_structure_holds_at_tolerance(self):
         a = well_pivoted(np.random.default_rng(1300), 8)
         res = jhmsh(a, ReductionOptions(set_exact_zeros=False))
@@ -458,8 +481,9 @@ class TestResultDiagnostics:
         assert res.red_err <= 1e-10 * spectral_norm(a)
 
     def test_driver_freed_without_gc(self):
-        # a reference cycle through the driver would keep its input copy and
-        # arrays alive after the run, until the cyclic collector ran
+        # a reference cycle through the driver would keep its arrays (and
+        # its reference to the input) alive after the run, until the cyclic
+        # collector ran
         gc.disable()
         try:
             for variant in VARIANTS:
