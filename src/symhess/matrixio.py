@@ -7,6 +7,9 @@ round-trips bit-exactly.
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 
 __all__ = ["MatrixFormatError", "read_matrix", "write_matrix"]
@@ -17,14 +20,35 @@ class MatrixFormatError(ValueError):
 
 
 def write_matrix(path, m) -> None:
+    """Write ``m`` to ``path``, refusing what ``read_matrix`` would refuse.
+
+    An existing regular file is overwritten in place and then cut to the
+    new length, never truncated first: on filesystems that discard freed
+    blocks, truncating a file that was just written costs far more than
+    writing it.  The header goes in last, over a blank placeholder of its
+    length, so a write that stops part-way leaves a file the reader
+    rejects.  Other targets (a pipe, a device) get the header, then the
+    rows.
+    """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ValueError("dimensions must be positive")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("entries must be finite")
+    header = f"{a.shape[0]} {a.shape[1]}\n"
     line = " ".join(["%.17g"] * a.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "w", encoding="ascii", newline="\n") as fh:
+        seekable = stat.S_ISREG(os.fstat(fd).st_mode)
+        fh.write(" " * (len(header) - 1) + "\n" if seekable else header)
         for row in a:
             fh.write(line % tuple(row.tolist()))
+        if seekable:
+            fh.truncate()
+            fh.seek(0)
+            fh.write(header)
 
 
 def read_matrix(path) -> np.ndarray:

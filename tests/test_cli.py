@@ -11,6 +11,9 @@ from symhess import gen_family1, read_matrix, write_matrix
 from symhess.cli import cmd_gen, main
 
 
+posix_only = pytest.mark.skipif(sys.platform == "win32", reason="POSIX file semantics")
+
+
 def run_cli(*args):
     return main([str(a) for a in args])
 
@@ -129,6 +132,39 @@ class TestReduce:
         write_matrix(path, np.eye(4))
         assert run_cli("reduce", path, "--algo", "jhsh",
                        "--strategy", f"fixed:{tmp_path / 'absent'}") == 3
+
+
+class TestRewrite:
+    """gen and reduce rewrite their output files in place."""
+
+    def test_gen_over_larger_file_matches_fresh(self, tmp_path):
+        out, fresh = tmp_path / "a.txt", tmp_path / "fresh.txt"
+        assert run_cli("gen", "--family", 2, "--n", 9, "--out", out) == 0
+        assert run_cli("gen", "--family", 1, "--n", 3, "--out", out) == 0
+        assert run_cli("gen", "--family", 1, "--n", 3, "--out", fresh) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @posix_only
+    def test_reduce_rewrites_through_symlink_keeping_inode(self, tmp_path, capsys):
+        a_path, h_path, link = tmp_path / "a.txt", tmp_path / "h.txt", tmp_path / "h_link.txt"
+        run_cli("gen", "--family", 1, "--n", 6, "--out", a_path)
+        write_matrix(h_path, np.ones((20, 20)))
+        link.symlink_to(h_path)
+        inode = os.stat(h_path).st_ino
+        assert run_cli("reduce", a_path, "--algo", "jhmsh2", "--out-h", link,
+                       "--out-s", tmp_path / "s.txt") == 0
+        assert link.is_symlink()
+        assert os.stat(h_path).st_ino == inode
+        capsys.readouterr()
+        assert run_cli("check", a_path, tmp_path / "s.txt", link) == 0
+
+    @posix_only
+    def test_out_s_dev_null_exits_0(self, tmp_path, capsys):
+        a_path = tmp_path / "a.txt"
+        run_cli("gen", "--family", 1, "--n", 5, "--out", a_path)
+        code = run_cli("reduce", a_path, "--algo", "jhmsh", "--out-s", os.devnull)
+        assert code == 0
+        assert "red_err" in parse_kv(capsys)
 
 
 class TestCheck:
