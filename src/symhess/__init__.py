@@ -18,14 +18,12 @@ from .transforms import (
     MappingBreakdown,
     SymplecticTransform,
     TransformGivens,
-    TransformGivensSweep,
     TransformSH,
     TransformVLH,
     apply_left,
     apply_right_adjoint,
     cond2,
     densify,
-    densify_adjoint,
     embed,
     general_mapping,
     osh1,
@@ -69,8 +67,8 @@ __all__ = [
     "structure_report", "symplecticity_residual",
     "DEFAULT_BREAKDOWN_TOL", "Breakdown", "FreeParams", "InvalidParam",
     "MappingBreakdown", "SymplecticTransform", "TransformGivens",
-    "TransformGivensSweep", "TransformSH", "TransformVLH", "apply_left",
-    "apply_right_adjoint", "cond2", "densify", "densify_adjoint", "embed",
+    "TransformSH", "TransformVLH", "apply_left", "apply_right_adjoint",
+    "cond2", "densify", "embed",
     "general_mapping", "osh1", "osh2", "sh1", "sh2", "vlg", "vlg_sweep", "vlh",
     "VARIANTS", "BreakdownError", "FixedStrategy", "OptimalStrategy",
     "ParamStrategy", "ReductionOptions", "ReductionResult",

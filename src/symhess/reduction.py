@@ -48,8 +48,8 @@ from .transforms import (
     DEFAULT_BREAKDOWN_TOL,
     Breakdown,
     SymplecticTransform,
-    TransformGivens,
     _rotate,
+    _rotations,
     _vlh_from_segment,
     apply_left,
     apply_right_adjoint,
@@ -88,7 +88,8 @@ class OptimalStrategy:
 
 @dataclass(frozen=True)
 class FixedStrategy:
-    """Explicit per-step parameter lists; entry j-1 is used at step j."""
+    """Explicit per-step parameter lists of finite values; entry j-1 is
+    used at step j."""
 
     rhos: tuple[float, ...]
     mus: tuple[float, ...]
@@ -96,6 +97,8 @@ class FixedStrategy:
     def __post_init__(self):
         object.__setattr__(self, "rhos", tuple(float(r) for r in self.rhos))
         object.__setattr__(self, "mus", tuple(float(m) for m in self.mus))
+        if not all(map(math.isfinite, self.rhos + self.mus)):
+            raise ValueError("fixed strategy rho and mu values must be finite")
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,9 @@ class ReductionResult:
     """Outcome of a successful reduction: H = S^J A S.
 
     ``transcript`` lists the applied transforms in order; replaying their
-    adjoints from the identity reproduces S.  A ``jhmsh`` Givens sweep is
-    one ``TransformGivensSweep`` record.  ``orth_loss`` is
+    adjoints from the identity reproduces S.  A ``TransformGivens`` record
+    holds a range of planes: a ``jhmsh`` Givens sweep is one record, and a
+    single rotation is a one-plane record.  ``orth_loss`` is
     ||I - S^J S||_2 and ``red_err`` is ||H - S^J A S||_2 against the
     original input.
     """
@@ -182,15 +186,12 @@ def _free_params(strategy: ParamStrategy, n: int):
 def _vlg_lowering(k: int, a: np.ndarray) -> SymplecticTransform:
     """Givens rotation in the (k, n+k) plane zeroing a(k) into a(n+k).
 
-    The mirror image of ``vlg``: it moves mass from the upper half onto
-    the pivot row, which is exactly what a zero-pivot rescue needs.
+    The mirror image of ``vlg``, built as vlg's rotation of the pair
+    (a(n+k), -a(k)): it moves mass from the upper half onto the pivot row,
+    which is exactly what a zero-pivot rescue needs.
     """
     n = a.size // 2
-    f, g = float(a[k - 1]), float(a[n + k - 1])
-    r = float(np.hypot(f, g))
-    if r == 0.0:
-        return vlg(k, a)  # identity
-    return TransformGivens(k, g / r, -f / r, n)
+    return _rotations(k, a[n + k - 1:n + k], -a[k - 1:k], n)
 
 
 def _classify_fallback(column: np.ndarray, j: int, n: int, tol: float) -> str:
@@ -311,6 +312,8 @@ class _Driver:
         t = vlg_sweep(j + 1, A[:, col - 1])
         a11, a12, a21, a22 = (A[rows, cols].copy() for rows in (up, lo) for cols in (up, lo))
         self.similarity(t)
+        if t.is_identity:  # the applies skipped it: A is as it was
+            return
         c, s = t.c, t.s
         cl, sl = c[:, None], s[:, None]
         r11, r12 = _rotate(c, s, a11, a12)

@@ -1,14 +1,13 @@
 """Elementary symplectic transformations.
 
-Four kinds appear in the reduction:
+Three kinds appear in the reduction:
 
 * ``TransformSH``     rank-one symplectic Householder  T = I + c v v^J,
                       with adjoint T^J = I - c v v^J
-* ``TransformGivens`` plane rotation in coordinates (k, n+k); orthogonal
-                      and symplectic
-* ``TransformGivensSweep`` the rotations in the disjoint planes (k, n+k),
-                      k = k0..n, held as two arrays; ``rotations()``
-                      lists them one by one
+* ``TransformGivens`` plane rotations in the disjoint planes (k, n+k),
+                      k = k0..k0+c.size-1, held as two arrays; orthogonal
+                      and symplectic.  ``vlg`` builds one plane,
+                      ``vlg_sweep`` the planes k0..n
 * ``TransformVLH``    the same ordinary Householder reflector applied to
                       rows k..n and n+k..2n; orthogonal and symplectic
 
@@ -27,6 +26,7 @@ and diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "FreeParams",
     "TransformSH",
     "TransformGivens",
-    "TransformGivensSweep",
     "TransformVLH",
     "SymplecticTransform",
     "general_mapping",
@@ -55,7 +54,6 @@ __all__ = [
     "apply_left",
     "apply_right_adjoint",
     "densify",
-    "densify_adjoint",
     "cond2",
 ]
 
@@ -137,35 +135,12 @@ class TransformSH:
 
 @dataclass(frozen=True, eq=False)
 class TransformGivens:
-    """Rotation in the (k, n+k) plane; k is 1-based, c^2 + s^2 = 1."""
-
-    k: int
-    c: float
-    s: float
-    n: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise ValueError("k must lie in 1..n")
-        if abs(self.c * self.c + self.s * self.s - 1.0) > 1e-14:
-            raise ValueError("c^2 + s^2 must equal 1")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.c == 1.0 and self.s == 0.0
-
-    def adjoint(self) -> "TransformGivens":
-        return TransformGivens(self.k, self.c, -self.s, self.n)
-
-
-@dataclass(frozen=True, eq=False)
-class TransformGivensSweep:
-    """Rotations by (c[i], s[i]) in the planes (k0+i, n+k0+i), i = 0..n-k0.
+    """Rotations by (c[i], s[i]) in the planes (k0+i, n+k0+i), i = 0..c.size-1.
 
     The planes are disjoint, so the rotations commute and apply at once by
-    slices; k0 is 1-based.  A sweep applies every plane, identity planes
-    (c = 1, s = 0) included, where an identity ``TransformGivens`` is
-    skipped; on finite entries the two differ at most in the sign of a zero.
+    slices; k0 is 1-based.  As for the other kinds, a record is skipped only
+    when it is the identity, here when every plane is (c = 1, s = 0); an
+    identity plane inside a record that is not is applied.
     """
 
     k0: int
@@ -174,26 +149,19 @@ class TransformGivensSweep:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.k0 <= self.n:
-            raise ValueError("k0 must lie in 1..n")
-        if self.c.shape != (self.n - self.k0 + 1,) or self.s.shape != self.c.shape:
-            raise ValueError("c and s must both have length n - k0 + 1")
-        if not np.all(np.abs(self.c * self.c + self.s * self.s - 1.0) <= 1e-14):
+        if self.c.ndim != 1 or self.c.size == 0 or self.s.shape != self.c.shape:
+            raise ValueError("c and s must be nonempty 1-D arrays of one length")
+        if not 1 <= self.k0 <= self.n - self.c.size + 1:
+            raise ValueError("the planes k0..k0+c.size-1 must lie in 1..n")
+        if not (np.abs(self.c * self.c + self.s * self.s - 1.0) <= 1e-14).all():
             raise ValueError("c^2 + s^2 must equal 1")
 
-    @property
+    @cached_property  # every apply of the record reads it
     def is_identity(self) -> bool:
-        return bool(np.all(self.c == 1.0) and np.all(self.s == 0.0))
+        return bool((self.c == 1.0).all() and (self.s == 0.0).all())
 
-    def adjoint(self) -> "TransformGivensSweep":
-        return TransformGivensSweep(self.k0, self.c, -self.s, self.n)
-
-    def rotations(self) -> list[TransformGivens]:
-        """The sweep as single rotations, k = n down to k0 (the order of the
-        one-by-one sweep)."""
-        return [TransformGivens(k, c, s, self.n) for k, c, s
-                in zip(range(self.n, self.k0 - 1, -1), self.c[::-1].tolist(),
-                       self.s[::-1].tolist())]
+    def adjoint(self) -> "TransformGivens":
+        return TransformGivens(self.k0, self.c, -self.s, self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +195,7 @@ class TransformVLH:
         return self  # symmetric and orthogonal
 
 
-SymplecticTransform = TransformSH | TransformGivens | TransformGivensSweep | TransformVLH
+SymplecticTransform = TransformSH | TransformGivens | TransformVLH
 
 
 def _as_vector(a) -> np.ndarray:
@@ -350,8 +318,20 @@ def osh2(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
                        FreeParams(mu=float(av[0] + xi), nu=float(nu), xi=xi))
 
 
+def _rotations(k0: int, f: np.ndarray, g: np.ndarray, n: int) -> TransformGivens:
+    """Rotations in the planes (k, n+k), k = k0..k0+f.size-1, taking each
+    pair (f, g) to (hypot(f, g), 0); the identity (c=1, s=0) where both
+    entries vanish."""
+    r = np.hypot(f, g)
+    nonzero = r != 0.0
+    c = np.divide(f, r, out=np.ones(f.size), where=nonzero)
+    s = np.divide(g, r, out=np.zeros(f.size), where=nonzero)
+    return TransformGivens(k0, c, s, n)
+
+
 def vlg(k: int, a) -> TransformGivens:
-    """Givens rotation in the (k, n+k) plane eliminating a(n+k) into a(k).
+    """Givens rotation in the (k, n+k) plane eliminating a(n+k) into a(k),
+    as a one-plane record.
 
     k is 1-based.  When both entries vanish the identity (c=1, s=0) is
     returned.
@@ -360,29 +340,20 @@ def vlg(k: int, a) -> TransformGivens:
     n = av.size // 2
     if not 1 <= k <= n:
         raise ValueError("k must lie in 1..n")
-    f, g = float(av[k - 1]), float(av[n + k - 1])
-    r = float(np.hypot(f, g))
-    if r == 0.0:
-        return TransformGivens(k, 1.0, 0.0, n)
-    return TransformGivens(k, f / r, g / r, n)
+    return _rotations(k, av[k - 1:k], av[n + k - 1:n + k], n)
 
 
-def vlg_sweep(k0: int, a) -> TransformGivensSweep:
-    """The rotations vlg(k, a), k = k0..n, as one sweep record.
+def vlg_sweep(k0: int, a) -> TransformGivens:
+    """The rotations vlg(k, a), k = k0..n, as one record.
 
     Each reads only rows k and n+k of ``a``, so all of them are built from
-    ``a`` as it stands, with ``vlg``'s arithmetic.
+    ``a`` as it stands.
     """
     av = _as_vector(a)
     n = av.size // 2
     if not 1 <= k0 <= n:
         raise ValueError("k0 must lie in 1..n")
-    f, g = av[k0 - 1:n], av[n + k0 - 1:]
-    r = np.hypot(f, g)
-    nonzero = r != 0.0
-    c = np.divide(f, r, out=np.ones(f.size), where=nonzero)  # identity where r == 0
-    s = np.divide(g, r, out=np.zeros(f.size), where=nonzero)
-    return TransformGivensSweep(k0, c, s, n)
+    return _rotations(k0, av[k0 - 1:n], av[n + k0 - 1:], n)
 
 
 def _vlh_from_segment(k: int, segment: np.ndarray, n: int) -> TransformVLH:
@@ -448,6 +419,12 @@ def _check_cols(t: SymplecticTransform, m: np.ndarray) -> int:
     return n
 
 
+def _planes(t: TransformGivens) -> tuple[slice, slice]:
+    """Row (or column) slices of a record's planes in the upper and lower half."""
+    k = t.k0 - 1
+    return slice(k, k + t.c.size), slice(t.n + k, t.n + k + t.c.size)
+
+
 def _rotate(c, s, x, y):
     """Givens pairs (c x + s y, -s x + c y), elementwise with broadcasting."""
     return c * x + s * y, -s * x + c * y
@@ -470,14 +447,10 @@ def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
             m[up, :] += t.c * (t.u[:, None] * row)
             m[lo, :] += t.c * (t.w[:, None] * row)
     elif isinstance(t, TransformGivens):
-        n = _check_rows(t, m)
+        _check_rows(t, m)
         if t.is_identity:
             return
-        i, j = t.k - 1, n + t.k - 1
-        m[i], m[j] = _rotate(t.c, t.s, m[i], m[j])
-    elif isinstance(t, TransformGivensSweep):
-        n = _check_rows(t, m)
-        up, lo = slice(t.k0 - 1, n), slice(n + t.k0 - 1, 2 * n)
+        up, lo = _planes(t)
         c, s = (t.c, t.s) if m.ndim == 1 else (t.c[:, None], t.s[:, None])
         m[up], m[lo] = _rotate(c, s, m[up], m[lo])
     elif isinstance(t, TransformVLH):
@@ -508,14 +481,10 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
         m[:, up] += t.c * (mv[:, None] * t.w)
         m[:, lo] -= t.c * (mv[:, None] * t.u)
     elif isinstance(t, TransformGivens):
-        n = _check_cols(t, m)
+        _check_cols(t, m)
         if t.is_identity:
             return
-        i, j = t.k - 1, n + t.k - 1
-        m[:, i], m[:, j] = _rotate(t.c, t.s, m[:, i], m[:, j])
-    elif isinstance(t, TransformGivensSweep):
-        n = _check_cols(t, m)
-        up, lo = slice(t.k0 - 1, n), slice(n + t.k0 - 1, 2 * n)
+        up, lo = _planes(t)
         m[:, up], m[:, lo] = _rotate(t.c, t.s, m[:, up], m[:, lo])
     elif isinstance(t, TransformVLH):
         n = _check_cols(t, m)
@@ -537,13 +506,7 @@ def densify(t: SymplecticTransform) -> np.ndarray:
             vj = np.concatenate((-v[n:], v[:n]))  # row vector v^T J
             out += t.c * np.outer(v, vj)
     elif isinstance(t, TransformGivens):
-        i, j = t.k - 1, n + t.k - 1
-        out[i, i] = t.c
-        out[i, j] = t.s
-        out[j, i] = -t.s
-        out[j, j] = t.c
-    elif isinstance(t, TransformGivensSweep):
-        i = np.arange(t.k0 - 1, n)
+        i = np.arange(t.k0 - 1, t.k0 - 1 + t.c.size)
         out[i, i] = out[i + n, i + n] = t.c
         out[i, i + n] = t.s
         out[i + n, i] = -t.s
@@ -555,11 +518,6 @@ def densify(t: SymplecticTransform) -> np.ndarray:
     else:
         raise TypeError(f"not a symplectic transform: {type(t).__name__}")
     return out
-
-
-def densify_adjoint(t: SymplecticTransform) -> np.ndarray:
-    """Explicit matrix of T^J."""
-    return adjoint_mat(densify(t))
 
 
 def cond2(t: SymplecticTransform) -> float:

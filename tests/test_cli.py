@@ -115,6 +115,16 @@ class TestReduce:
                        "--strategy", f"fixed:{params}")
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_fixed_strategy_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.random.default_rng(1).standard_normal((6, 6)))
+        params = tmp_path / "params.txt"
+        params.write_text(f"{value}\n{value}\n{value}\n{value}\n")
+        assert run_cli("reduce", path, "--algo", "jhsh",
+                       "--strategy", f"fixed:{params}") == 2
+        assert "finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_pivot_tol_exits_2(self, tmp_path, capsys, tol):
         path = tmp_path / "m.txt"

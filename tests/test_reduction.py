@@ -14,7 +14,6 @@ from symhess import (
     ReductionOptions,
     SeededStrategy,
     TransformGivens,
-    TransformGivensSweep,
     TransformSH,
     TransformVLH,
     adjoint_mat,
@@ -122,6 +121,13 @@ class TestInputValidation:
         res = reduce(np.eye(4), "JHMSH")
         assert structure_report(res.h, 0.0).is_upper_j_hessenberg
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fixed_strategy_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FixedStrategy(rhos=(bad,) * 3, mus=(1.0,) * 3)
+        with pytest.raises(ValueError, match="finite"):
+            FixedStrategy(rhos=(1.0,) * 3, mus=(1.0, bad, 1.0))
+
     def test_fixed_strategy_length_checked(self):
         opts = ReductionOptions(strategy=FixedStrategy(rhos=(1.0,), mus=(1.0,)))
         with pytest.raises(ValueError):
@@ -173,7 +179,7 @@ class TestFactorization:
         assert all(isinstance(t, TransformSH) for t in jhosh(a).transcript)
         for res in (jhmsh(a), jhmsh2(a)):
             orthogonal = [t for t in res.transcript
-                          if isinstance(t, (TransformGivens, TransformGivensSweep, TransformVLH))]
+                          if isinstance(t, (TransformGivens, TransformVLH))]
             sh_kind = [t for t in res.transcript if isinstance(t, TransformSH)]
             # odd sub-steps only contribute SH transforms, even only orthogonal
             assert len(sh_kind) == 8 // 2 - 1
@@ -526,10 +532,10 @@ def _jhmsh_replay_inputs():
 
 
 class TestTranscriptSimilarityReplay:
-    def test_jhmsh_replay_is_bit_exact(self):
+    def test_jhmsh_replay_is_bit_exact(self, one_plane_records):
         # Without exact zeros H is exactly the product of the recorded
-        # similarities, applied one by one in transcript order, each sweep
-        # record as its single rotations (the one-by-one sweep).  Family 2
+        # similarities, applied one by one in transcript order, each Givens
+        # record as its one-plane records (the one-by-one sweep).  Family 2
         # from n = 27 on needs an odd rescue at a step j > 1 with a nonzero
         # H12(j, j-1), which the driver refuses.
         opts = ReductionOptions(set_exact_zeros=False)
@@ -544,12 +550,12 @@ class TestTranscriptSimilarityReplay:
             res = jhmsh(a, opts)
             h, s = a.copy(), np.eye(a.shape[0])
             for record in res.transcript:
-                sweep = isinstance(record, TransformGivensSweep)
-                for t in record.rotations() if sweep else [record]:
+                givens = isinstance(record, TransformGivens)
+                for t in one_plane_records(record) if givens else [record]:
                     apply_left(t, h)
                     apply_right_adjoint(t, h)
                     apply_right_adjoint(t, s)
-                    identities += isinstance(t, TransformGivens) and t.is_identity
+                    identities += givens and t.is_identity
             assert np.array_equal(h, res.h), name
             assert np.array_equal(s, res.s), name
         assert identities > 0
@@ -580,7 +586,32 @@ class TestTranscriptSimilarityReplay:
         res = jhmsh(np.random.default_rng([1500, 50]).standard_normal((2 * n, 2 * n)))
         assert res.fallbacks_used == ()
         kinds = [type(t) for t in res.transcript]
-        assert (kinds.count(TransformSH), kinds.count(TransformGivensSweep),
+        assert (kinds.count(TransformSH), kinds.count(TransformGivens),
                 kinds.count(TransformVLH)) == (n - 1, n - 1, n - 2)
-        sweeps = [t for t in res.transcript if isinstance(t, TransformGivensSweep)]
+        sweeps = [t for t in res.transcript if isinstance(t, TransformGivens)]
         assert [t.k0 for t in sweeps] == list(range(2, n + 1))
+        assert [t.c.size for t in sweeps] == list(range(n - 1, 0, -1))
+
+
+class TestIdentitySweepSkipped:
+    def test_jhmsh_keeps_negative_zeros_of_a_reduced_input(self):
+        # With H12 = 0 and H11, H21, H22 upper triangular every transform of
+        # jhmsh is the identity and is skipped, so H is the input bit for bit
+        # (-0.0 included) apart from the exact zeros assigned to the targets.
+        n = 6
+        a = np.random.default_rng(1700).standard_normal((2 * n, 2 * n))
+        a[:n, n:] = 0.0
+        for rows, cols in ((slice(0, n), slice(0, n)), (slice(n, None), slice(0, n)),
+                           (slice(n, None), slice(n, None))):
+            a[rows, cols] = np.triu(a[rows, cols])
+        a[a == 0.0] = -0.0
+        for opts in (ReductionOptions(), ReductionOptions(set_exact_zeros=False)):
+            res = jhmsh(a, opts)
+            assert all(t.is_identity for t in res.transcript)
+            expect = a.copy()
+            if opts.set_exact_zeros:
+                for j in range(1, n):
+                    expect[j:n, j - 1] = expect[n + j:, j - 1] = 0.0
+                    expect[j + 1:n, n + j - 1] = expect[n + j:, n + j - 1] = 0.0
+            assert np.array_equal(res.h.view(np.uint64), expect.view(np.uint64))
+            assert np.array_equal(res.s.view(np.uint64), np.eye(2 * n).view(np.uint64))

@@ -6,12 +6,11 @@ from symhess import (
     InvalidParam,
     MappingBreakdown,
     TransformGivens,
-    TransformGivensSweep,
+    adjoint_mat,
     apply_left,
     apply_right_adjoint,
     cond2,
     densify,
-    densify_adjoint,
     embed,
     general_mapping,
     j_inner,
@@ -168,7 +167,7 @@ class TestVlg:
         a = np.zeros(6)
         a[1], a[4] = 3.0, 4.0  # k=2, n=3
         t = vlg(2, a)
-        assert (t.c, t.s) == (0.6, 0.8)
+        assert (t.k0, t.c.tolist(), t.s.tolist()) == (2, [0.6], [0.8])
         out = mapped(t, a)
         assert out[1] == pytest.approx(5.0, rel=1e-15)
         assert abs(out[4]) <= 1e-15
@@ -197,17 +196,21 @@ class TestVlgSweep:
         a[[1, n + 1]] = 0.0  # plane 2 is an identity rotation
         return a
 
-    def test_rotations_are_vlg_per_plane(self):
+    def test_rotations_are_vlg_per_plane(self, one_plane_records):
         rng = np.random.default_rng(30)
         n = 6
         a = self._column(rng, n)
+
+        def fields(r):
+            return r.k0, r.c.tolist(), r.s.tolist(), r.n
+
         for k0 in range(1, n + 1):
             t = vlg_sweep(k0, a)
-            got = [(r.k, r.c, r.s, r.n) for r in t.rotations()]
-            want = [(r.k, r.c, r.s, r.n) for r in (vlg(k, a) for k in range(n, k0 - 1, -1))]
+            got = [fields(r) for r in one_plane_records(t)]
+            want = [fields(vlg(k, a)) for k in range(n, k0 - 1, -1)]
             assert got == want
 
-    def test_applies_as_its_rotations_bit_for_bit(self):
+    def test_applies_as_its_rotations_bit_for_bit(self, one_plane_records):
         # the planes are disjoint, so a one-sided update by the whole sweep
         # is the rotations' updates, one by one
         rng = np.random.default_rng(31)
@@ -217,37 +220,102 @@ class TestVlgSweep:
         for apply, target in ((apply_left, m), (apply_left, m[:, 0]), (apply_right_adjoint, m)):
             whole, single = target.copy(), target.copy()
             apply(t, whole)
-            for r in t.rotations():
+            for r in one_plane_records(t):
                 apply(r, single)
             assert np.array_equal(whole, single)
 
-    def test_densify_and_adjoint(self):
+    def test_densify_and_adjoint(self, one_plane_records):
         rng = np.random.default_rng(32)
         n = 4
         t = vlg_sweep(2, self._column(rng, n))
         d = densify(t)
         product = np.eye(2 * n)
-        for r in t.rotations():
+        for r in one_plane_records(t):
             product = densify(r) @ product
         assert np.array_equal(d, product)
         assert spectral_norm(d.T @ d - np.eye(2 * n)) <= 1e-13
         assert symplecticity_residual(d) <= 1e-13
         assert np.array_equal(densify(t.adjoint()), d.T)
-        assert np.array_equal(densify_adjoint(t), d.T)
+        assert np.array_equal(adjoint_mat(densify(t)), d.T)
 
-    def test_identity(self):
+    def test_identity(self, one_plane_records):
         t = vlg_sweep(1, np.zeros(6))
         assert t.is_identity
-        assert all(r.is_identity for r in t.rotations())
+        assert all(r.is_identity for r in one_plane_records(t))
         assert not vlg_sweep(1, np.array([1.0, 0.0, 1.0, 0.0])).is_identity
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             vlg_sweep(0, np.ones(4))
         with pytest.raises(ValueError):
-            TransformGivensSweep(2, np.ones(2), np.zeros(2), 2)
+            TransformGivens(2, np.ones(2), np.zeros(2), 2)
         with pytest.raises(ValueError):
-            TransformGivensSweep(1, np.ones(2), np.ones(2), 2)
+            TransformGivens(1, np.ones(2), np.ones(2), 2)
+        with pytest.raises(ValueError):
+            TransformGivens(0, np.ones(1), np.zeros(1), 2)
+        with pytest.raises(ValueError):
+            TransformGivens(1, np.ones(0), np.zeros(0), 2)
+        with pytest.raises(ValueError):
+            TransformGivens(1, np.ones(2), np.zeros(1), 2)
+        with pytest.raises(ValueError):
+            TransformGivens(1, np.ones((1, 1)), np.zeros((1, 1)), 2)
+
+
+class TestGivensSkipRule:
+    """A Givens record is skipped only when every plane is the identity."""
+
+    @staticmethod
+    def _signed(n):
+        # applying an identity plane would turn each -0.0 into -0.0 + 0*1 = +0.0
+        m = np.ones((2 * n, 2 * n))
+        m[:n, :n] = -0.0
+        return m
+
+    def test_identity_record_leaves_negative_zeros(self):
+        n = 4
+        m = self._signed(n)
+        for t in (vlg_sweep(1, np.zeros(2 * n)), vlg_sweep(3, np.zeros(2 * n)),
+                  vlg(2, np.zeros(2 * n))):
+            assert t.is_identity
+            for apply, target in ((apply_left, m), (apply_left, m[:, 0]),
+                                  (apply_right_adjoint, m)):
+                out = target.copy()
+                apply(t, out)
+                assert np.array_equal(out.view(np.uint64), target.view(np.uint64))
+
+    def test_identity_plane_of_a_moving_record_is_applied(self):
+        n = 3
+        t = TransformGivens(1, np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]), n)
+        assert not t.is_identity
+        out = self._signed(n)
+        apply_left(t, out)
+        assert not np.signbit(out[[0, 2], :n]).any()
+        out = self._signed(n)
+        apply_right_adjoint(t, out)
+        assert not np.signbit(out[:n, [0, 2]]).any()
+
+    def test_one_plane_record_moves_exactly_its_two_rows_or_columns(self):
+        rng = np.random.default_rng(34)
+        n = 5
+        m = rng.standard_normal((2 * n, 2 * n))
+        t = vlg(3, rng.standard_normal(2 * n))
+        assert t.c.size == 1 and not t.is_identity
+        c, s = float(t.c[0]), float(t.s[0])
+        i, j = 2, n + 2
+        kept = [r for r in range(2 * n) if r not in (i, j)]
+        out = m.copy()
+        apply_left(t, out)
+        assert np.array_equal(out[kept], m[kept])
+        assert np.array_equal(out[i], c * m[i] + s * m[j])
+        assert np.array_equal(out[j], -s * m[i] + c * m[j])
+        vec = m[:, 0].copy()
+        apply_left(t, vec)
+        assert np.array_equal(vec, out[:, 0])
+        out = m.copy()
+        apply_right_adjoint(t, out)
+        assert np.array_equal(out[:, kept], m[:, kept])
+        assert np.array_equal(out[:, i], c * m[:, i] + s * m[:, j])
+        assert np.array_equal(out[:, j], -s * m[:, i] + c * m[:, j])
 
 
 class TestVlh:
@@ -349,7 +417,7 @@ class TestPostconditionProperties:
             m = int(rng.integers(2, 6))
             a = random_pivoted(rng, m)
             t = osh2(a)
-            assert spectral_norm(densify(t) @ densify_adjoint(t) - np.eye(2 * m)) <= 1e-11
+            assert spectral_norm(densify(t) @ adjoint_mat(densify(t)) - np.eye(2 * m)) <= 1e-11
 
     def test_determinant_is_one(self):
         rng = np.random.default_rng(16)
@@ -430,7 +498,7 @@ class TestApply:
                 m = rng.standard_normal((2 * half, 2 * half))
                 out = m.copy()
                 apply_right_adjoint(t, out)
-                assert np.allclose(out, m @ densify_adjoint(t), rtol=1e-13, atol=1e-13)
+                assert np.allclose(out, m @ adjoint_mat(densify(t)), rtol=1e-13, atol=1e-13)
 
     def test_sh1_zeroes_matrix_column(self):
         m = np.eye(4)
@@ -479,7 +547,7 @@ class TestApply:
 
 class TestDensify:
     def test_quarter_rotation(self):
-        t = TransformGivens(k=1, c=0.0, s=1.0, n=1)
+        t = TransformGivens(k0=1, c=np.array([0.0]), s=np.array([1.0]), n=1)
         assert np.array_equal(densify(t), [[0.0, 1.0], [-1.0, 0.0]])
 
     def test_sh2_example_is_a_rotation(self):
