@@ -48,7 +48,7 @@ from .transforms import (
     DEFAULT_BREAKDOWN_TOL,
     Breakdown,
     SymplecticTransform,
-    _rotate,
+    _rotate_in_place,
     _rotations,
     _vlh_from_segment,
     apply_left,
@@ -304,8 +304,10 @@ class _Driver:
         with row plane p and column plane q its left rotation first when
         p >= q and its right rotation first when p < q.  The record applies
         left first throughout, so the p < q blocks of the active square are
-        recomputed right-then-left from the saved entries, and H and S equal
-        those of the one-by-one sweep bit for bit.
+        recomputed right-then-left: the four blocks saved before the record
+        are rotated in place, by the same rounding as every Givens apply,
+        and written back through the p < q mask.  H and S equal those of
+        the one-by-one sweep bit for bit.
         """
         n, A = self.n, self.A
         up, lo = slice(j, n), slice(n + j, 2 * n)
@@ -316,12 +318,12 @@ class _Driver:
             return
         c, s = t.c, t.s
         cl, sl = c[:, None], s[:, None]
-        r11, r12 = _rotate(c, s, a11, a12)
-        r21, r22 = _rotate(c, s, a21, a22)
-        l11, l21 = _rotate(cl, sl, r11, r21)
-        l12, l22 = _rotate(cl, sl, r12, r22)
+        _rotate_in_place(c, s, a11, a12)
+        _rotate_in_place(c, s, a21, a22)
+        _rotate_in_place(cl, sl, a11, a21)
+        _rotate_in_place(cl, sl, a12, a22)
         right_first = ~np.tri(n - j, dtype=bool)  # blocks with p < q
-        for rows, cols, value in ((up, up, l11), (up, lo, l12), (lo, up, l21), (lo, lo, l22)):
+        for rows, cols, value in ((up, up, a11), (up, lo, a12), (lo, up, a21), (lo, lo, a22)):
             np.copyto(A[rows, cols], value, where=right_first)
 
     def _subcolumn(self, col: int, row0: int) -> np.ndarray:

@@ -25,12 +25,13 @@ and diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import adjoint_mat, j_inner, spectral_norm
+from .core import j_inner
 
 __all__ = [
     "DEFAULT_BREAKDOWN_TOL",
@@ -425,9 +426,20 @@ def _planes(t: TransformGivens) -> tuple[slice, slice]:
     return slice(k, k + t.c.size), slice(t.n + k, t.n + k + t.c.size)
 
 
-def _rotate(c, s, x, y):
-    """Givens pairs (c x + s y, -s x + c y), elementwise with broadcasting."""
-    return c * x + s * y, -s * x + c * y
+def _rotate_in_place(c, s, x, y) -> None:
+    """Overwrite x and y with the Givens pairs (c x + s y, -s x + c y),
+    elementwise with broadcasting.
+
+    The roundings are those of the two-product formula: each result is the
+    rounded sum of the same two rounded products.  Only the two products
+    that read the old x and y are held; x and y must not overlap.
+    """
+    sy = s * y
+    sx = -s * x
+    x *= c
+    x += sy
+    y *= c
+    y += sx
 
 
 def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
@@ -452,7 +464,7 @@ def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
             return
         up, lo = _planes(t)
         c, s = (t.c, t.s) if m.ndim == 1 else (t.c[:, None], t.s[:, None])
-        m[up], m[lo] = _rotate(c, s, m[up], m[lo])
+        _rotate_in_place(c, s, m[up], m[lo])
     elif isinstance(t, TransformVLH):
         n = _check_rows(t, m)
         if t.is_identity:
@@ -485,7 +497,7 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
         if t.is_identity:
             return
         up, lo = _planes(t)
-        m[:, up], m[:, lo] = _rotate(t.c, t.s, m[:, up], m[:, lo])
+        _rotate_in_place(t.c, t.s, m[:, up], m[:, lo])
     elif isinstance(t, TransformVLH):
         n = _check_cols(t, m)
         if t.is_identity:
@@ -521,7 +533,18 @@ def densify(t: SymplecticTransform) -> np.ndarray:
 
 
 def cond2(t: SymplecticTransform) -> float:
-    """2-norm condition number of the densified transform,
-    spectral_norm(T) * spectral_norm(T^J)."""
-    d = densify(t)
-    return spectral_norm(d) * spectral_norm(adjoint_mat(d))
+    """2-norm condition number spectral_norm(T) * spectral_norm(T^J), in
+    closed form.
+
+    Givens and VLH records are orthogonal: 1.  For T = I + c v v^J the
+    vectors v and J^T v are orthogonal and of equal norm, so T is the
+    identity plus x times a rank-one product of two orthonormal vectors,
+    x = c ||v||^2, and ||T||_2 = ||T^J||_2 = (|x| + sqrt(x^2 + 4)) / 2.
+    This form does not cancel near the identity.
+    """
+    if isinstance(t, TransformSH):
+        x = t.c * float(t.u @ t.u + t.w @ t.w)
+        return ((abs(x) + math.sqrt(x * x + 4.0)) / 2.0) ** 2
+    if isinstance(t, (TransformGivens, TransformVLH)):
+        return 1.0
+    raise TypeError(f"not a symplectic transform: {type(t).__name__}")

@@ -1,0 +1,46 @@
+import hashlib
+import importlib.util
+import itertools
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "corpus_digest.py"
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("corpus_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_corpus_has_3640_distinct_cases(tool, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("listing the cases must not reduce them")
+
+    monkeypatch.setattr(tool, "reduce", refuse)
+    names = [name for name, *_ in tool.cases()]
+    assert len(names) == 3640
+    assert len(set(names)) == len(names)
+
+
+def test_digest_repeats_and_separates_cases(tool):
+    small = list(itertools.islice(tool.cases(), 40))  # family 1, n = 2 and 3
+    first = [tool.digest(a, variant, opts) for _, a, variant, opts in small]
+    again = [tool.digest(a, variant, opts) for _, a, variant, opts in small]
+    assert first == again
+    assert {outcome for outcome, _ in first} <= {"ok", "breakdown"}
+    assert len({sha for _, sha in first}) > 1
+
+
+def test_digest_sees_the_sign_of_zero(tool):
+    def sha(value):
+        h = hashlib.sha256()
+        tool._feed(h, value)
+        return h.hexdigest()
+
+    assert sha(np.array([0.0])) != sha(np.array([-0.0]))
+    assert sha(0.0) != sha(-0.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -500,6 +501,23 @@ class TestResultDiagnostics:
                 assert ref() is None, variant
         finally:
             gc.enable()
+
+    def test_givens_sweep_peak_memory_near_compact_variant(self):
+        # The jhmsh sweep rotates in place, so its temporaries must not
+        # raise the peak much above that of jhmsh2, whose even sub-step is
+        # three transforms.
+        a = np.random.default_rng([1500, 100]).standard_normal((200, 200))
+        peaks = {}
+        for variant in ("jhmsh", "jhmsh2"):
+            reduce(a, variant)  # first-call allocations are not the reduction's
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                reduce(a, variant)
+                peaks[variant] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["jhmsh"] <= 1.04 * peaks["jhmsh2"], peaks
 
     def test_negative_pivot_tol_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from symhess import (
     InvalidParam,
     MappingBreakdown,
     TransformGivens,
+    TransformSH,
     adjoint_mat,
     apply_left,
     apply_right_adjoint,
@@ -318,6 +319,49 @@ class TestGivensSkipRule:
         assert np.array_equal(out[:, j], -s * m[:, i] + c * m[:, j])
 
 
+class TestGivensRounding:
+    """Every Givens apply rounds as the two-product formula
+    (c x + s y, -s x + c y), including the signs of zeros."""
+
+    @staticmethod
+    def _reference(c, s, x, y):
+        return c * x + s * y, -s * x + c * y
+
+    @staticmethod
+    def _signed(rng, shape):
+        m = rng.standard_normal(shape)
+        flat = m.reshape(-1)
+        flat[::5] = 0.0
+        flat[1::5] = -0.0
+        return m
+
+    def test_applies_match_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(3500)
+        n = 5
+        records = (
+            vlg(2, rng.standard_normal(2 * n)),
+            vlg_sweep(2, rng.standard_normal(2 * n)),
+            TransformGivens(1, np.array([1.0, 0.6, 0.0]), np.array([0.0, -0.8, 1.0]), n),
+        )
+        for t in records:
+            k = t.k0 - 1
+            up, lo = slice(k, k + t.c.size), slice(n + k, n + k + t.c.size)
+            for shape in ((2 * n,), (2 * n, 7)):
+                m = self._signed(rng, shape)
+                out = m.copy()
+                apply_left(t, out)
+                c, s = (t.c, t.s) if m.ndim == 1 else (t.c[:, None], t.s[:, None])
+                expect = m.copy()
+                expect[up], expect[lo] = self._reference(c, s, m[up], m[lo])
+                assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
+            m = self._signed(rng, (7, 2 * n))
+            out = m.copy()
+            apply_right_adjoint(t, out)
+            expect = m.copy()
+            expect[:, up], expect[:, lo] = self._reference(t.c, t.s, m[:, up], m[:, lo])
+            assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
+
+
 class TestVlh:
     def test_frozen_example(self):
         a = np.array([3.0, 4.0, 0.0, 0.0])  # n=2, k=1, segment (3,4)
@@ -559,14 +603,46 @@ class TestDensify:
         assert np.array_equal(densify(t), np.eye(2))
 
 
+def svd_cond2(t):
+    """Reference condition number from the densified transform."""
+    d = densify(t)
+    return spectral_norm(d) * spectral_norm(adjoint_mat(d))
+
+
 class TestCond2:
     def test_identity_is_one(self):
         t = sh2(np.array([1.0, 2.0]), 0.3)
-        assert cond2(t) == pytest.approx(1.0, rel=1e-12)
+        assert cond2(t) == 1.0
 
     def test_givens_is_one(self):
         t = vlg(1, np.array([3.0, 0.0, 4.0, 0.0]))
         assert cond2(t) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sweep_and_vlh_are_one(self):
+        rng = np.random.default_rng(23)
+        for t in (vlg_sweep(1, rng.standard_normal(8)), vlh(1, rng.standard_normal(8))):
+            assert cond2(t) == 1.0
+            assert svd_cond2(t) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sh_closed_form_matches_svd(self):
+        rng = np.random.default_rng(24)
+        for _ in range(60):
+            m = int(rng.integers(2, 7))
+            a = random_pivoted(rng, m)
+            for t in (osh1(a), osh2(a), sh1(a, float(rng.uniform(0.5, 2.0))),
+                      sh2(a, float(a[0] + rng.uniform(0.5, 2.0))),
+                      embed(osh1(a[np.r_[1:m, m + 1:2 * m]]), 1, m)):
+                assert cond2(t) == pytest.approx(svd_cond2(t), rel=1e-12)
+
+    def test_near_identity_does_not_cancel(self):
+        # cond2 = 1 + |x| + O(x^2) with x = c ||v||^2; a form subtracting
+        # two numbers near 2 would return exactly 1 here
+        u, w = np.array([1.0, 0.5]), np.array([0.0, 2.0])
+        for c in (1e-9, -3e-10, 1e-12):
+            t = TransformSH(c, u, w, 0, 2)
+            x = abs(c) * 5.25
+            assert cond2(t) - 1.0 == pytest.approx(x, abs=1e-14)
+            assert svd_cond2(t) - 1.0 == pytest.approx(x, abs=1e-14)
 
     def test_optimal_beats_arbitrary(self):
         rng = np.random.default_rng(22)
