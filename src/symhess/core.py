@@ -127,8 +127,8 @@ def structure_report(h, tol: float) -> StructureReport:
     """
     a = _as_matrix(h)
     n = _square_half(a)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not tol >= 0:  # also refuses nan; inf is allowed
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
     h11, h12 = a[:n, :n], a[:n, n:]
     h21, h22 = a[n:, :n], a[n:, n:]
 

@@ -12,9 +12,10 @@ sub-step eliminating column n+j (rows j+2..n and n+j+1..2n):
 * ``jhmsh2``  as jhmsh, with a compact three-transform even sub-step:
               concentrate the lower segment, one rotation, one reflector.
 
-Every transform is applied as a similarity A <- T A T^J while the
-accumulator is updated as S <- S T^J, so a successful run returns H and a
-symplectic S with H = S^J A S.
+Every transform is applied to the working matrix as a similarity
+A <- T A T^J and appended to the transcript; the loop updates no other
+matrix.  After the last step S is the transcript's replay, S = T_1^J T_2^J
+..., so a successful run returns H and a symplectic S with H = S^J A S.
 
 The variants differ only in the free-parameter rule and the even
 sub-step, so one table (``_VARIANT_TABLE``) holds both and one driver runs
@@ -39,6 +40,7 @@ never returns NaN or infinity as a result.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,10 +109,18 @@ class SeededStrategy:
 
     The generator is a 64-bit LCG (a = 6364136223846793005,
     c = 1442695040888963407) restarted from ``seed`` at the beginning of
-    every reduction; each step draws twice, mu before rho.
+    every reduction; each step draws twice, mu before rho.  ``seed`` is any
+    integer that ``operator.index`` accepts, numpy integers included.
     """
 
     seed: int
+
+    def __post_init__(self):
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seeded strategy needs an integer seed, got {self.seed!r}") from None
+        object.__setattr__(self, "seed", seed)
 
 
 ParamStrategy = OptimalStrategy | FixedStrategy | SeededStrategy
@@ -124,6 +134,9 @@ class ReductionOptions:
     set_exact_zeros: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.strategy, ParamStrategy):
+            raise ValueError(f"strategy must be an OptimalStrategy, FixedStrategy or "
+                             f"SeededStrategy, got {self.strategy!r}")
         if not (math.isfinite(self.pivot_tol) and self.pivot_tol >= 0):
             raise ValueError(f"pivot_tol must be finite and nonnegative, got {self.pivot_tol!r}")
 
@@ -146,10 +159,11 @@ class BreakdownError(Exception):
 class ReductionResult:
     """Outcome of a successful reduction: H = S^J A S.
 
-    ``transcript`` lists the applied transforms in order; replaying their
-    adjoints from the identity reproduces S.  A ``TransformGivens`` record
-    holds a range of planes: a ``jhmsh`` Givens sweep is one record, and a
-    single rotation is a one-plane record.  ``orth_loss`` is
+    ``transcript`` lists the applied transforms in order, and ``s`` is its
+    replay: the identity with each transform's adjoint applied on the right
+    in turn.  A ``TransformGivens`` record holds a range of planes: a
+    ``jhmsh`` Givens sweep is one record, and a single rotation is a
+    one-plane record.  ``orth_loss`` is
     ||I - S^J S||_2 and ``red_err`` is ||H - S^J A S||_2 against the
     original input.
     """
@@ -284,7 +298,6 @@ class _Driver:
         self.a0 = np.ascontiguousarray(a)
         self.A = a.copy()
         self.n = a.shape[0] // 2
-        self.S = np.eye(2 * self.n)
         self.opts = opts
         self.transcript: list[SymplecticTransform] = []
         self.fallbacks: list[tuple[int, str]] = []
@@ -293,7 +306,6 @@ class _Driver:
     def similarity(self, t: SymplecticTransform) -> None:
         apply_left(t, self.A)
         apply_right_adjoint(t, self.A)
-        apply_right_adjoint(t, self.S)
         self.transcript.append(t)
 
     def _givens_sweep(self, j: int, col: int) -> None:
@@ -306,8 +318,8 @@ class _Driver:
         left first throughout, so the p < q blocks of the active square are
         recomputed right-then-left: the four blocks saved before the record
         are rotated in place, by the same rounding as every Givens apply,
-        and written back through the p < q mask.  H and S equal those of
-        the one-by-one sweep bit for bit.
+        and written back through the p < q mask.  H equals that of the
+        one-by-one sweep bit for bit.
         """
         n, A = self.n, self.A
         up, lo = slice(j, n), slice(n + j, 2 * n)
@@ -425,15 +437,18 @@ class _Driver:
                 self._zero_targets(j, n + j, j + 1)
                 if step_hook is not None:
                     step_hook(j, self.A)
-            orth_loss = symplecticity_residual(self.S)
-            red_err = spectral_norm(self.A - adjoint_mat(self.S) @ self.a0 @ self.S)
+            s = np.eye(2 * n)
+            for t in self.transcript:
+                apply_right_adjoint(t, s)
+            orth_loss = symplecticity_residual(s)
+            red_err = spectral_norm(self.A - adjoint_mat(s) @ self.a0 @ s)
         for metric in (orth_loss, red_err):
             if not math.isfinite(metric):
                 raise BreakdownError(n - 1, "even", "NonFinite", metric)
         self.A.setflags(write=False)
-        self.S.setflags(write=False)
+        s.setflags(write=False)
         return ReductionResult(
-            s=self.S,
+            s=s,
             h=self.A,
             transcript=tuple(self.transcript),
             orth_loss=orth_loss,

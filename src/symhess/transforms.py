@@ -414,7 +414,7 @@ def _check_rows(t: SymplecticTransform, m: np.ndarray) -> int:
 
 def _check_cols(t: SymplecticTransform, m: np.ndarray) -> int:
     n = _half_of(t)
-    cols = m.shape[-1] if m.ndim == 2 else m.shape[0]
+    cols = m.shape[1]
     if cols != 2 * n:
         raise ValueError(f"transform acts on 2*{n} columns, matrix has {cols}")
     return n

@@ -209,3 +209,10 @@ class TestStructureReport:
             structure_report(np.zeros((3, 3)), 0.0)
         with pytest.raises(ValueError):
             structure_report(np.eye(4), -1.0)
+        with pytest.raises(ValueError):
+            structure_report(np.eye(4), float("nan"))
+
+    def test_infinite_tol_accepted(self):
+        # cmd_check's tolerance 1e-10 * ||H||_F overflows for a finite huge H
+        rep = structure_report(np.full((4, 4), 1e308), float("inf"))
+        assert rep.is_upper_j_hessenberg

@@ -129,6 +129,25 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="finite"):
             FixedStrategy(rhos=(1.0,) * 3, mus=(1.0, bad, 1.0))
 
+    @pytest.mark.parametrize("bad", ["seeded", None, 3, OptimalStrategy])
+    def test_rejects_unknown_strategy(self, bad):
+        with pytest.raises(ValueError, match="strategy"):
+            ReductionOptions(strategy=bad)
+
+    @pytest.mark.parametrize("bad", [1.5, "7", None, np.float64(7.0)])
+    def test_seeded_strategy_rejects_non_integer_seed(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            SeededStrategy(bad)
+
+    def test_seeded_strategy_accepts_numpy_integers(self):
+        a = np.random.default_rng(0).standard_normal((8, 8))
+        for seed in (np.int64(-5), np.uint64(7), np.int8(7)):
+            strategy = SeededStrategy(seed)
+            assert type(strategy.seed) is int
+            expect = jhsh(a, ReductionOptions(strategy=SeededStrategy(int(seed))))
+            got = jhsh(a, ReductionOptions(strategy=strategy))
+            assert np.array_equal(got.h, expect.h), seed
+
     def test_fixed_strategy_length_checked(self):
         opts = ReductionOptions(strategy=FixedStrategy(rhos=(1.0,), mus=(1.0,)))
         with pytest.raises(ValueError):
@@ -527,6 +546,45 @@ class TestResultDiagnostics:
     def test_non_finite_pivot_tol_rejected(self, tol):
         with pytest.raises(ValueError):
             ReductionOptions(pivot_tol=tol)
+
+
+class TestSIsTheReplay:
+    """The loop updates only A; S is formed once, after it, by replaying
+    the transcript through the module's ``apply_right_adjoint``."""
+
+    @staticmethod
+    def _record_right_applies(monkeypatch):
+        events = []
+        inner = reduction.apply_right_adjoint
+
+        def recorder(t, m):
+            events.append(("right", m))
+            inner(t, m)
+        monkeypatch.setattr(reduction, "apply_right_adjoint", recorder)
+        return events
+
+    def test_breakdown_updates_only_the_working_matrix(self, monkeypatch):
+        # jhmsh refuses a late odd rescue on family 2 from n = 27 on
+        events = self._record_right_applies(monkeypatch)
+        driver = _Driver(gen_family2(27), "jhmsh", ReductionOptions())
+        with pytest.raises(BreakdownError):
+            driver.run()
+        assert events
+        assert all(m is driver.A for _, m in events)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_s_is_built_once_after_the_last_step(self, monkeypatch, variant):
+        events = self._record_right_applies(monkeypatch)
+        a = np.random.default_rng([1500, 3]).standard_normal((14, 14))
+        driver = _Driver(a, variant, ReductionOptions())
+        res = driver.run(step_hook=lambda j, _a: events.append(("hook", j)))
+        assert not hasattr(driver, "S")
+        hooks = [i for i, (kind, _) in enumerate(events) if kind == "hook"]
+        assert len(hooks) == 6
+        replay = [i for i, (kind, m) in enumerate(events) if kind == "right" and m is not driver.A]
+        assert len(replay) == len(res.transcript)
+        assert min(replay) > max(hooks)
+        assert all(events[i][1] is res.s for i in replay)
 
 
 def _zero_pair_input():
