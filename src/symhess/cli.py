@@ -1,13 +1,15 @@
 """Command-line interface: generate benchmark matrices, run reductions,
 sweep experiment tables, and check factorizations.
 
-Exit codes: 0 success, 2 bad arguments, 3 I/O failure, 4 breakdown,
-5 non-square/odd/mismatched input, 6 structure check failed.
+Exit codes: 0 success, 2 bad arguments, 3 I/O failure or malformed matrix
+file, 4 breakdown, 5 non-square/odd/mismatched input, 6 structure check
+failed.  The commands raise; ``_EXIT_CODES`` maps each error to its code.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -76,112 +78,84 @@ class _BadMatrix(ValueError):
     pass
 
 
+# The exit code of each error kind a command raises, most specific kind first.
+_EXIT_CODES = {
+    _BadMatrix: EXIT_BAD_MATRIX,
+    MatrixFormatError: EXIT_IO,
+    OSError: EXIT_IO,
+    ValueError: EXIT_USAGE,
+}
+
+
+def _exit_codes(cmd):
+    """Run ``cmd``; a ``BreakdownError`` prints its step lines on stdout and
+    exits 4, an error in ``_EXIT_CODES`` prints its message on stderr."""
+    @functools.wraps(cmd)
+    def wrapper(*args, **kwargs) -> int:
+        try:
+            return cmd(*args, **kwargs)
+        except BreakdownError as exc:
+            print(f"step={exc.step}\nsubstep={exc.substep}\nkind={exc.kind}")
+            return EXIT_BREAKDOWN
+        except tuple(_EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    return wrapper
+
+
+@_exit_codes
 def cmd_gen(family: int, n: int, out) -> int:
-    try:
-        a = FamilySpec(family, n).generate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        write_matrix(out, a)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_matrix(out, FamilySpec(family, n).generate())
     return EXIT_OK
 
 
+@_exit_codes
 def cmd_reduce(input, algo: str, strategy: str = "optimal", fallback: bool = True,
                out_h=None, out_s=None, pivot_tol: float = DEFAULT_BREAKDOWN_TOL) -> int:
-    if algo not in VARIANTS:
-        print(f"error: unknown algo {algo!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        strat = _parse_strategy(strategy)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        a = _load_square_even(input)
-    except _BadMatrix as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_MATRIX
-    except (OSError, MatrixFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        opts = ReductionOptions(strategy=strat, breakdown_fallback=fallback,
-                                pivot_tol=pivot_tol)
-        res = reduce(a, algo, opts)
-    except BreakdownError as exc:
-        print(f"step={exc.step}")
-        print(f"substep={exc.substep}")
-        print(f"kind={exc.kind}")
-        return EXIT_BREAKDOWN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if out_h is not None:
-            write_matrix(out_h, res.h)
-        if out_s is not None:
-            write_matrix(out_s, res.s)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if algo not in VARIANTS:  # case-sensitive, unlike the library
+        raise ValueError(f"unknown algo {algo!r}")
+    strat = _parse_strategy(strategy)
+    a = _load_square_even(input)
+    res = reduce(a, algo, ReductionOptions(strategy=strat, breakdown_fallback=fallback,
+                                           pivot_tol=pivot_tol))
+    if out_h is not None:
+        write_matrix(out_h, res.h)
+    if out_s is not None:
+        write_matrix(out_s, res.s)
     print(f"orth_loss={res.orth_loss:.17g}")
     print(f"red_err={res.red_err:.17g}")
     print(f"fallbacks={len(res.fallbacks_used)}")
     return EXIT_OK
 
 
+@_exit_codes
 def cmd_experiment(family: int, n_min: int, n_max: int, algos: list[str],
                    format: str = "csv", out=None) -> int:
-    try:
-        FamilySpec(family, n_min)  # the family and n-min >= 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if n_min > n_max or not algos:
-        print("error: need n-min <= n-max and at least one algo", file=sys.stderr)
-        return EXIT_USAGE
+    # run_sweep checks the family and sizes up front; these it does not.
+    if not algos:
+        raise ValueError("need at least one algo")
     for algo in algos:
         if algo not in VARIANTS:
-            print(f"error: unknown algo {algo!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"unknown algo {algo!r}")
     if format not in ("csv", "markdown"):
-        print(f"error: unknown format {format!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown format {format!r}")
     rows = run_sweep(family, n_min, n_max, algos, ReductionOptions())
     text = emit_table(rows, format)
     if out is None:
         sys.stdout.write(text)
         return EXIT_OK
-    try:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(out, "w", newline="\n") as fh:
+        fh.write(text)
     return EXIT_OK
 
 
+@_exit_codes
 def cmd_check(a_path, s_path, h_path) -> int:
-    try:
-        a = _load_square_even(a_path)
-        s = _load_square_even(s_path)
-        h = _load_square_even(h_path)
-    except _BadMatrix as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_MATRIX
-    except (OSError, MatrixFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    a = _load_square_even(a_path)
+    s = _load_square_even(s_path)
+    h = _load_square_even(h_path)
     if not a.shape == s.shape == h.shape:
-        print("error: A, S, H must all have the same shape", file=sys.stderr)
-        return EXIT_BAD_MATRIX
+        raise _BadMatrix("A, S, H must all have the same shape")
     orth_loss = symplecticity_residual(s)
     red_err = spectral_norm(h - adjoint_mat(s) @ a @ s)
     tol = 1e-10 * float(np.linalg.norm(h, "fro"))

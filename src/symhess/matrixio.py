@@ -2,7 +2,8 @@
 whitespace-separated decimal floats per row.
 
 Values are written with 17 significant digits so every finite double
-round-trips bit-exactly.
+round-trips bit-exactly.  Files are ASCII; the reader refuses any other
+byte with ``MatrixFormatError``.
 """
 
 from __future__ import annotations
@@ -52,17 +53,20 @@ def write_matrix(path, m) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise MatrixFormatError(f"{path}: header must be 'rows cols'")
-        try:
-            rows, cols = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise MatrixFormatError(f"{path}: bad header {header!r}") from exc
-        if rows < 1 or cols < 1:
-            raise MatrixFormatError(f"{path}: dimensions must be positive")
-        tokens = fh.read().split()
+    try:
+        with open(path, encoding="ascii") as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise MatrixFormatError(f"{path}: header must be 'rows cols'")
+            try:
+                rows, cols = int(header[0]), int(header[1])
+            except ValueError as exc:
+                raise MatrixFormatError(f"{path}: bad header {header!r}") from exc
+            if rows < 1 or cols < 1:
+                raise MatrixFormatError(f"{path}: dimensions must be positive")
+            tokens = fh.read().split()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not an ASCII text file") from exc
     if len(tokens) != rows * cols:
         raise MatrixFormatError(
             f"{path}: expected {rows * cols} values, found {len(tokens)}")

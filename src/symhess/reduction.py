@@ -90,8 +90,8 @@ class OptimalStrategy:
 
 @dataclass(frozen=True)
 class FixedStrategy:
-    """Explicit per-step parameter lists of finite values; entry j-1 is
-    used at step j."""
+    """Explicit per-step parameter lists of finite values, every rho
+    nonzero; entry j-1 is used at step j."""
 
     rhos: tuple[float, ...]
     mus: tuple[float, ...]
@@ -101,6 +101,8 @@ class FixedStrategy:
         object.__setattr__(self, "mus", tuple(float(m) for m in self.mus))
         if not all(map(math.isfinite, self.rhos + self.mus)):
             raise ValueError("fixed strategy rho and mu values must be finite")
+        if 0.0 in self.rhos:
+            raise ValueError("fixed strategy rho values must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,11 @@ class ReductionOptions:
                              f"SeededStrategy, got {self.strategy!r}")
         if not (math.isfinite(self.pivot_tol) and self.pivot_tol >= 0):
             raise ValueError(f"pivot_tol must be finite and nonnegative, got {self.pivot_tol!r}")
+        for name in ("breakdown_fallback", "set_exact_zeros"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
 
 
 class BreakdownError(Exception):

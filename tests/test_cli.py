@@ -8,7 +8,7 @@ import pytest
 
 import symhess
 from symhess import gen_family1, read_matrix, write_matrix
-from symhess.cli import cmd_gen, main
+from symhess.cli import cmd_experiment, cmd_gen, main
 
 
 posix_only = pytest.mark.skipif(sys.platform == "win32", reason="POSIX file semantics")
@@ -93,6 +93,12 @@ class TestReduce:
     def test_missing_input_exits_3(self, tmp_path):
         assert run_cli("reduce", tmp_path / "absent.txt", "--algo", "jhmsh") == 3
 
+    def test_undecodable_input_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff")
+        assert run_cli("reduce", path, "--algo", "jhmsh") == 3
+        assert "ASCII" in capsys.readouterr().err
+
     def test_unknown_algo_exits_2(self, tmp_path):
         path = tmp_path / "m.txt"
         write_matrix(path, np.eye(4))
@@ -131,6 +137,15 @@ class TestReduce:
         write_matrix(path, np.eye(4))
         assert run_cli("reduce", path, "--algo", "jhmsh", f"--pivot-tol={tol}") == 2
         assert "pivot_tol" in capsys.readouterr().err
+
+    def test_zero_rho_fixed_strategy_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.random.default_rng(1).standard_normal((6, 6)))
+        params = tmp_path / "params.txt"
+        params.write_text("0.0\n0.5\n1.0\n2.0\n")
+        assert run_cli("reduce", path, "--algo", "jhsh",
+                       "--strategy", f"fixed:{params}") == 2
+        assert "nonzero" in capsys.readouterr().err
 
     def test_bad_strategy_exits_2(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -200,6 +215,18 @@ class TestCheck:
                        tmp_path / "h.txt")
         assert code == 6
 
+    def test_missing_input_exits_3(self, tmp_path):
+        write_matrix(tmp_path / "a.txt", np.eye(4))
+        assert run_cli("check", tmp_path / "a.txt", tmp_path / "absent.txt",
+                       tmp_path / "a.txt") == 3
+
+    def test_undecodable_input_exits_3(self, tmp_path, capsys):
+        write_matrix(tmp_path / "a.txt", np.eye(4))
+        (tmp_path / "s.bin").write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff")
+        assert run_cli("check", tmp_path / "a.txt", tmp_path / "s.bin",
+                       tmp_path / "a.txt") == 3
+        assert "ASCII" in capsys.readouterr().err
+
     def test_dimension_mismatch_exits_5(self, tmp_path):
         write_matrix(tmp_path / "a.txt", np.eye(4))
         write_matrix(tmp_path / "s.txt", np.eye(6))
@@ -241,6 +268,22 @@ class TestExperiment:
     def test_invalid_range_exits_2(self):
         assert run_cli("experiment", "--family", 1, "--n-min", 5, "--n-max", 3,
                        "--algos", "jhmsh") == 2
+
+    def test_no_algo_exits_2(self, capsys):
+        assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 3,
+                       "--algos", ",") == 2
+        assert "at least one algo" in capsys.readouterr().err
+
+    def test_algo_names_are_case_sensitive(self):
+        assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 3,
+                       "--algos", "JHMSH") == 2
+
+    def test_cmd_experiment_bad_format_exits_2_before_sweeping(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the format must be checked before the sweep")
+
+        monkeypatch.setattr(symhess.cli, "run_sweep", refuse)
+        assert cmd_experiment(1, 2, 3, ["jhmsh"], format="xml") == 2
 
 
 class TestEntryPoints:

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import itertools
+import os
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,13 @@ def tool():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_import_leaves_blas_threads_alone(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    spec = importlib.util.spec_from_file_location("corpus_digest_probe", TOOL)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
 
 
 def test_corpus_has_3640_distinct_cases(tool, monkeypatch):

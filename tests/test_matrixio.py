@@ -136,6 +136,13 @@ class TestErrors:
         with pytest.raises(MatrixFormatError):
             read_matrix(path)
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "m.txt"
+        for content in (b"\x89PNG\r\n\x1a\n\x00\xff", "1 1\n\u0661\n".encode()):
+            path.write_bytes(content)
+            with pytest.raises(MatrixFormatError, match="ASCII"):
+                read_matrix(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_matrix(tmp_path / "absent.txt")

@@ -129,6 +129,23 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="finite"):
             FixedStrategy(rhos=(1.0,) * 3, mus=(1.0, bad, 1.0))
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_fixed_strategy_rejects_zero_rho(self, zero):
+        with pytest.raises(ValueError, match="nonzero"):
+            FixedStrategy(rhos=(1.0, zero, 1.0), mus=(1.0,) * 3)
+        assert FixedStrategy(rhos=(1.0,) * 3, mus=(zero,) * 3).mus == (0.0,) * 3
+
+    @pytest.mark.parametrize("flag", ["breakdown_fallback", "set_exact_zeros"])
+    @pytest.mark.parametrize("bad", ["off", None, 1])
+    def test_rejects_non_bool_flags(self, flag, bad):
+        with pytest.raises(ValueError, match=flag):
+            ReductionOptions(**{flag: bad})
+
+    def test_numpy_bool_flags_stored_as_bool(self):
+        opts = ReductionOptions(breakdown_fallback=np.False_, set_exact_zeros=np.True_)
+        assert opts.breakdown_fallback is False
+        assert opts.set_exact_zeros is True
+
     @pytest.mark.parametrize("bad", ["seeded", None, 3, OptimalStrategy])
     def test_rejects_unknown_strategy(self, bad):
         with pytest.raises(ValueError, match="strategy"):

@@ -21,14 +21,23 @@ one copy of it digests any checkout.  From the repository root:
     diff base.txt change.txt
 
 A change that keeps every result bit for bit prints no difference.  A full
-run takes about 12 s on one core.
+run takes about 12 s on one core.  Run as a script, the tool pins BLAS to
+one thread before numpy loads: the blocking of a multi-threaded BLAS
+changes the roundings of the n=150 and n=200 cases, so without the pin the
+digests would depend on the caller's environment.  Imported, it leaves the
+environment alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import struct
+
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import numpy as np
 
