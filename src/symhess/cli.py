@@ -9,7 +9,9 @@ failed.  The commands raise; ``_EXIT_CODES`` maps each error to its code.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 
 import numpy as np
@@ -78,6 +80,25 @@ class _BadMatrix(ValueError):
     pass
 
 
+def _check_writable(path) -> None:
+    """Raise now the ``OSError`` that writing ``path`` after the work would
+    raise, creating and changing nothing: ``path`` must be a writable
+    non-directory, or a new name in a writable directory."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    else:
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            code = errno.ENOENT
+        else:
+            code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 # The exit code of each error kind a command raises, most specific kind first.
 _EXIT_CODES = {
     _BadMatrix: EXIT_BAD_MATRIX,
@@ -115,6 +136,9 @@ def cmd_reduce(input, algo: str, strategy: str = "optimal", fallback: bool = Tru
     if algo not in VARIANTS:  # case-sensitive, unlike the library
         raise ValueError(f"unknown algo {algo!r}")
     strat = _parse_strategy(strategy)
+    for out in (out_h, out_s):
+        if out is not None:
+            _check_writable(out)
     a = _load_square_even(input)
     res = reduce(a, algo, ReductionOptions(strategy=strat, breakdown_fallback=fallback,
                                            pivot_tol=pivot_tol))
@@ -139,6 +163,8 @@ def cmd_experiment(family: int, n_min: int, n_max: int, algos: list[str],
             raise ValueError(f"unknown algo {algo!r}")
     if format not in ("csv", "markdown"):
         raise ValueError(f"unknown format {format!r}")
+    if out is not None:
+        _check_writable(out)
     rows = run_sweep(family, n_min, n_max, algos, ReductionOptions())
     text = emit_table(rows, format)
     if out is None:

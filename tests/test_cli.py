@@ -159,6 +159,61 @@ class TestReduce:
                        "--strategy", f"fixed:{tmp_path / 'absent'}") == 3
 
 
+class TestOutputPathsCheckedFirst:
+    """An unwritable output path exits 3 before any reduction runs, and a
+    command that fails creates and truncates no output file."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the output paths must be checked first")
+
+        monkeypatch.setattr(symhess.cli, "reduce", refuse)
+        monkeypatch.setattr(symhess.cli, "run_sweep", refuse)
+
+    @pytest.mark.parametrize("flag", ["--out-h", "--out-s"])
+    def test_reduce_missing_directory_exits_3(self, tmp_path, capsys, no_work, flag):
+        a_path = tmp_path / "a.txt"
+        write_matrix(a_path, gen_family1(3))
+        missing = tmp_path / "missing" / "dir" / "m.txt"
+        assert run_cli("reduce", a_path, "--algo", "jhmsh", flag, missing) == 3
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not missing.parent.exists()
+
+    def test_reduce_directory_as_output_exits_3(self, tmp_path, no_work):
+        a_path = tmp_path / "a.txt"
+        write_matrix(a_path, gen_family1(3))
+        assert run_cli("reduce", a_path, "--algo", "jhmsh", "--out-h", tmp_path) == 3
+
+    def test_experiment_missing_directory_exits_3(self, tmp_path, capsys, no_work):
+        missing = tmp_path / "missing" / "dir" / "t.csv"
+        assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 150,
+                       "--algos", "jhmsh", "--out", missing) == 3
+        assert "No such file or directory" in capsys.readouterr().err
+
+    def test_breakdown_leaves_outputs_alone(self, tmp_path, capsys):
+        a_path, h_path, s_path = tmp_path / "a.txt", tmp_path / "h.txt", tmp_path / "s.txt"
+        write_matrix(a_path, gen_family1(5))
+        h_path.write_text("keep\n")
+        assert run_cli("reduce", a_path, "--algo", "jhsh", "--fallback", "off",
+                       "--out-h", h_path, "--out-s", s_path) == 4
+        assert h_path.read_text() == "keep\n"
+        assert not s_path.exists()
+
+    def test_bad_arguments_leave_outputs_alone(self, tmp_path):
+        a_path, out = tmp_path / "a.txt", tmp_path / "out.txt"
+        write_matrix(a_path, gen_family1(3))
+        out.write_text("keep\n")
+        assert run_cli("reduce", a_path, "--algo", "jhmsh", "--strategy", "magic",
+                       "--out-h", out, "--out-s", tmp_path / "new.txt") == 2
+        assert run_cli("experiment", "--family", 3, "--n-min", 2, "--n-max", 3,
+                       "--algos", "jhmsh", "--out", out) == 2
+        assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 3,
+                       "--algos", "jhmsh", "--format", "xml", "--out", out) == 2
+        assert out.read_text() == "keep\n"
+        assert not (tmp_path / "new.txt").exists()
+
+
 class TestRewrite:
     """gen and reduce rewrite their output files in place."""
 

@@ -52,3 +52,20 @@ def test_digest_sees_the_sign_of_zero(tool):
 
     assert sha(np.array([0.0])) != sha(np.array([-0.0]))
     assert sha(0.0) != sha(-0.0)
+
+
+def test_header_names_numpy_blas_and_core(tool):
+    line = tool.header()
+    assert line.startswith("# ") and "\n" not in line
+    assert f"numpy {np.__version__};" in line
+    assert "; blas " in line
+    assert line.rsplit("; core ", 1)[1]
+
+
+def test_core_unknown_without_the_symbol(tool, tmp_path, monkeypatch):
+    not_a_library = tmp_path / "libscipy_openblas64_.so"
+    not_a_library.write_bytes(b"")
+    monkeypatch.setattr(tool.glob, "glob", lambda pattern: [str(not_a_library)])
+    assert tool.blas_core() == "unknown"
+    monkeypatch.setattr(tool.glob, "glob", lambda pattern: [])
+    assert tool.blas_core() == "unknown"

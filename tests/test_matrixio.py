@@ -3,6 +3,7 @@ import os
 import stat
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -152,6 +153,87 @@ class TestErrors:
         path.write_text("0 2\n")
         with pytest.raises(MatrixFormatError):
             read_matrix(path)
+
+
+class TestReaderContract:
+    """The reader streams: it accepts any whitespace layout, keeps one line
+    of tokens besides the result, and reports errors in a fixed order."""
+
+    def test_peak_memory_near_the_matrix(self, tmp_path):
+        m = np.random.default_rng(7).standard_normal((200, 200))
+        path = tmp_path / "m.txt"
+        write_matrix(path, m)  # 17-digit values
+        tracemalloc.start()
+        try:
+            back = read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, m)
+        assert peak < 2 * m.nbytes
+
+    def test_bogus_header_reports_the_count(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("100000 100000\n1 2 3\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixFormatError, match="expected 10000000000 values, found 3"):
+                read_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_too_many_tokens_names_the_count_found(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n1 2\n3 4\n5 6 7\n")
+        with pytest.raises(MatrixFormatError, match="expected 4 values, found 7"):
+            read_matrix(path)
+
+    def test_wrong_count_reported_before_bad_token(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n1 abc\n3\n")
+        with pytest.raises(MatrixFormatError, match="expected 4 values, found 3"):
+            read_matrix(path)
+
+    def test_non_ascii_reported_before_bad_token(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"2 2\n1 abc\n3 4\n" + b" " * 20000 + b"\xff\n")
+        with pytest.raises(MatrixFormatError, match="ASCII"):
+            read_matrix(path)
+
+    def test_bad_token_reported_before_nonfinite(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1 3\nnan 1 abc\n")
+        with pytest.raises(MatrixFormatError, match="non-numeric"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("content", [
+        b"2 3\n1 2 3 4 5 6\n",                 # all values on one line
+        b"2 3\n1 2\n3\n4 5\n6\n",              # rows split across lines
+        b"2 3\n\n 1\t2  3\n\n4\x0b5\x0c6",      # blank lines, tabs, no final newline
+        b"2 3\r\n1 2 3\r\n4 5 6\r\n",          # CRLF
+        b"2 3\r1 2 3\r4 5 6\r",                # CR only
+    ], ids=["one_line", "split_rows", "odd_whitespace", "crlf", "cr"])
+    def test_any_whitespace_layout(self, tmp_path, content):
+        path = tmp_path / "m.txt"
+        path.write_bytes(content)
+        assert np.array_equal(read_matrix(path), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_from_a_pipe(self, tmp_path):
+        # a pipe has no size, so the buffer grows as the values arrive
+        m = np.random.default_rng(8).standard_normal((60, 50))
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=write_matrix, args=(fifo, m), daemon=True)
+        writer.start()
+        try:
+            back = read_matrix(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(back, m)
 
 
 class TestWriterRefuses:

@@ -1,11 +1,12 @@
 """Bit-identity digest of every reduction over a fixed corpus of 3,640 cases.
 
-Prints one line per case: the case name, the outcome (``ok`` or
-``breakdown``) and a sha256 over the exact bits of the result.  For a
-successful run the hash covers H, S, ``orth_loss`` and ``red_err`` (as
-uint64 views, so the signs of zeros count), ``fallbacks_used`` and every
-field of every transcript record.  For a ``BreakdownError`` it covers the
-step, sub-step, kind and pivot value.
+Prints one ``#`` header line with the numpy version, the BLAS build and
+the BLAS kernel in use, then one line per case: the case name, the
+outcome (``ok`` or ``breakdown``) and a sha256 over the exact bits of the
+result.  For a successful run the hash covers H, S, ``orth_loss`` and
+``red_err`` (as uint64 views, so the signs of zeros count),
+``fallbacks_used`` and every field of every transcript record.  For a
+``BreakdownError`` it covers the step, sub-step, kind and pivot value.
 
 The corpus: families 1 and 2 at n = 2..40; Gaussians
 ``default_rng([1500, s]).standard_normal((2n, 2n))`` for s < 20 and
@@ -20,17 +21,21 @@ one copy of it digests any checkout.  From the repository root:
     PYTHONPATH=/path/to/base/src python3 tools/corpus_digest.py > base.txt
     diff base.txt change.txt
 
-A change that keeps every result bit for bit prints no difference.  A full
-run takes about 12 s on one core.  Run as a script, the tool pins BLAS to
-one thread before numpy loads: the blocking of a multi-threaded BLAS
-changes the roundings of the n=150 and n=200 cases, so without the pin the
-digests would depend on the caller's environment.  Imported, it leaves the
-environment alone.
+A change that keeps every result bit for bit prints no difference.  The
+digests hold for one BLAS kernel only (numpy's OpenBLAS picks its kernel
+for the CPU when it loads), so two outputs whose headers differ are not
+comparable.  A full run takes about 12 s on one core.  Run as a script,
+the tool pins BLAS to one thread before numpy loads: the blocking of a
+multi-threaded BLAS changes the roundings of the n=150 and n=200 cases,
+so without the pin the digests would depend on the caller's environment.
+Imported, it leaves the environment alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import os
 import struct
@@ -116,7 +121,34 @@ def digest(a, variant: str, opts: ReductionOptions) -> tuple[str, str]:
     return "ok", h.hexdigest()
 
 
+def blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked when it loaded, or
+    ``unknown`` for a BLAS that does not say."""
+    numpy_dir = os.path.dirname(np.__file__)
+    libs = (glob.glob(os.path.join(os.path.dirname(numpy_dir), "numpy.libs", "*openblas*"))
+            + glob.glob(os.path.join(numpy_dir, ".dylibs", "*openblas*")))
+    for lib in libs:
+        try:
+            corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def header() -> str:
+    """One ``#`` line naming what the digests depend on besides the code."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+        build = "unknown"
+    return f"# numpy {np.__version__}; blas {build}; core {blas_core()}"
+
+
 def main() -> None:
+    print(header(), flush=True)
     for name, a, variant, opts in cases():
         outcome, sha = digest(a, variant, opts)
         print(name, outcome, sha, flush=True)
