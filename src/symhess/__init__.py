@@ -43,7 +43,6 @@ from .reduction import (
     ReductionOptions,
     ReductionResult,
     SeededStrategy,
-    breakdown_fallback,
     jhmsh,
     jhmsh2,
     jhosh,
@@ -72,7 +71,7 @@ __all__ = [
     "general_mapping", "osh1", "osh2", "sh1", "sh2", "vlg", "vlg_sweep", "vlh",
     "VARIANTS", "BreakdownError", "FixedStrategy", "OptimalStrategy",
     "ParamStrategy", "ReductionOptions", "ReductionResult",
-    "SeededStrategy", "breakdown_fallback", "jhmsh", "jhmsh2", "jhosh",
+    "SeededStrategy", "jhmsh", "jhmsh2", "jhosh",
     "jhsh", "reduce",
     "FamilySpec", "SweepRow", "emit_table", "gen_family1", "gen_family2",
     "run_sweep",

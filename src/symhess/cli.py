@@ -55,7 +55,7 @@ def _parse_strategy(text: str) -> ParamStrategy:
     if text.startswith("fixed:"):
         path = text.split(":", 1)[1]
         try:
-            with open(path) as fh:
+            with open(path, encoding="ascii") as fh:
                 values = [float(line) for line in fh if line.strip()]
         except OSError as exc:
             raise OSError(f"cannot read strategy file {path}: {exc}") from exc

@@ -78,7 +78,6 @@ __all__ = [
     "jhmsh",
     "jhmsh2",
     "reduce",
-    "breakdown_fallback",
     "VARIANTS",
 ]
 
@@ -215,80 +214,6 @@ def _vlg_lowering(k: int, a: np.ndarray) -> SymplecticTransform:
     return _rotations(k, a[n + k - 1:n + k], -a[k - 1:k], n)
 
 
-def _classify_fallback(column: np.ndarray, j: int, n: int, tol: float) -> str:
-    """Pick the rescue for a zero pivot at row n+j of ``column``.
-
-    ``case_b``: a lower-segment entry beyond the pivot is significant, so
-    a reflector can concentrate the segment onto row n+j.
-    ``degenerate``: the whole active part is zero; nothing to eliminate.
-    ``case_a``: the mass sits in the upper block and has to be moved into
-    the pivot position through a plane rotation.
-    """
-    lower_tail = column[n + j:]
-    active = np.concatenate((column[j - 1:n], column[n + j - 1:]))
-    if not np.all(np.isfinite(active)):
-        return "unrecoverable"
-    scale = float(np.linalg.norm(active))
-    if scale == 0.0:
-        return "degenerate"
-    if np.any(np.abs(lower_tail) > tol * scale):
-        return "case_b"
-    return "case_a"
-
-
-def _case_a_chain(column: np.ndarray, j: int, n: int) -> list[SymplecticTransform]:
-    """Orthogonal transforms moving upper-block mass of ``column`` onto the
-    pivot row n+j: concentrate rows j+1..n into row j+1, rotate that entry
-    into row n+j+1, then concentrate the lower segment onto row n+j.
-
-    The first two members never touch row j, so earlier columns are
-    unaffected by them; later members are built from the column as the
-    earlier ones leave it (their left actions are what the column sees).
-    ``column`` is consumed as scratch.
-    """
-    chain: list[SymplecticTransform] = []
-    if j < n:
-        for t in (vlh(j + 1, column), _vlg_lowering(j + 1, column)):
-            chain.append(t)
-            apply_left(t, column)
-    t = _vlh_from_segment(j, column[n + j - 1:].copy(), n)
-    chain.append(t)
-    return chain
-
-
-def _fallback_transforms(case: str, column: np.ndarray, j: int,
-                         n: int) -> list[SymplecticTransform]:
-    if case == "case_b":
-        return [_vlh_from_segment(j, column[n + j - 1:].copy(), n)]
-    if case == "degenerate":
-        return [vlh(j, column)]  # identity: nothing to eliminate
-    return _case_a_chain(column.copy(), j, n)
-
-
-def breakdown_fallback(column, j: int,
-                       tol: float = DEFAULT_BREAKDOWN_TOL) -> list[SymplecticTransform] | None:
-    """Transforms rescuing a zero pivot at row n+j of a working column.
-
-    Case B (mass in the lower segment): one reflector concentrating that
-    segment onto the pivot row; the caller then retries the sub-step.
-    Case A (lower segment negligible): a short chain of orthogonal
-    transforms moving upper-block mass onto the pivot row, then retry.
-    A zero active column yields a single identity reflector and the
-    sub-step can simply be skipped.  Returns None when no rescue can
-    restore progress (non-finite input).
-    """
-    col = np.asarray(column, dtype=np.float64)
-    if col.ndim != 1 or col.size % 2:
-        raise ValueError("expected a 1-D vector of even length")
-    n = col.size // 2
-    if not 1 <= j <= n:
-        raise ValueError("j must lie in 1..n")
-    case = _classify_fallback(col, j, n, tol)
-    if case == "unrecoverable":
-        return None
-    return _fallback_transforms(case, col, j, n)
-
-
 class _Driver:
     def __init__(self, a: np.ndarray, variant: str, opts: ReductionOptions):
         # kept unbound: a bound method stored on self would be a reference
@@ -364,28 +289,53 @@ class _Driver:
             self.A[self.n + j:, col - 1] = 0.0
 
     def _rescues(self, j: int, substep: str, col: int, row0: int):
-        """The zero-pivot rescues in the order they are tried, each applied
-        as it is reached; yields the name recorded in ``fallbacks_used``.
+        """The zero-pivot rescues of a 1-based column in the order they are
+        tried, each applied as it is reached; yields the name recorded in
+        ``fallbacks_used``.  There is none with the fallback off, or for an
+        odd sub-step at j > 1 whose H12(j, j-1) is nonzero (see the module
+        docstring).  The pivot is row n+row0 of the column, and the norm of
+        the active part {row0..n, n+row0..2n} sets the scale:
 
-        First the classified case, then, for case A, one more rotation
-        moving the diagonal entry down.  There is none with the fallback
-        off, for a non-finite column, or for an odd sub-step at j > 1 whose
-        H12(j, j-1) is nonzero (see the module docstring).
+        * ``degenerate``: the active part is zero; an identity reflector is
+          recorded and there is nothing to eliminate.
+        * ``case_b``: a lower-segment entry beyond the pivot exceeds
+          ``pivot_tol`` times the scale; one reflector concentrates the
+          lower segment onto the pivot row.
+        * ``case_a``: the mass sits in the upper block.  A chain moves it
+          onto the pivot row: concentrate rows row0+1..n into row row0+1,
+          rotate that entry into row n+row0+1, then concentrate the lower
+          segment onto the pivot row.  Then ``case_a_rotation``: one more
+          rotation moves the diagonal entry down.
         """
         n = self.n
         if not self.opts.breakdown_fallback:
             return
         if substep == "odd" and j > 1 and self.A[j - 1, n + j - 2] != 0.0:
             return
+        # a view: it follows A through every similarity below
         column = self.A[:, col - 1]
-        case = _classify_fallback(column, row0, n, self.opts.pivot_tol)
-        if case == "unrecoverable":
-            return
-        for t in _fallback_transforms(case, column, row0, n):
-            self.similarity(t)
-        yield case
-        if case == "case_a":
-            self.similarity(_vlg_lowering(row0, self.A[:, col - 1]))
+        scale = float(np.linalg.norm(self._subcolumn(col, row0)))
+        if scale == 0.0:
+            self.similarity(vlh(row0, column))
+            yield "degenerate"
+        elif np.any(np.abs(column[n + row0:]) > self.opts.pivot_tol * scale):
+            self.similarity(_vlh_from_segment(row0, column[n + row0 - 1:].copy(), n))
+            yield "case_b"
+        else:
+            # The chain is built on a scratch copy before any of it touches
+            # A.  Its first two members are both built from the column as it
+            # stands, neither from what the other leaves; they never touch
+            # row row0, so earlier columns keep their form.  The last member
+            # is built from the scratch column after both are applied.
+            scratch = column.copy()
+            chain = [vlh(row0 + 1, scratch), _vlg_lowering(row0 + 1, scratch)] if row0 < n else []
+            for t in chain:
+                apply_left(t, scratch)
+            chain.append(_vlh_from_segment(row0, scratch[n + row0 - 1:].copy(), n))
+            for t in chain:
+                self.similarity(t)
+            yield "case_a"
+            self.similarity(_vlg_lowering(row0, column))
             yield "case_a_rotation"
 
     def _eliminate_sh(self, j: int, substep: str, col: int, row0: int,

@@ -147,6 +147,20 @@ class TestReduce:
                        "--strategy", f"fixed:{params}") == 2
         assert "nonzero" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        "١.5\n0.5\n1.0\n2.0\n".encode("utf-8"),  # Arabic-Indic one: float() reads 1.5
+        b"\xff\xfe" + "1.5\n0.5\n1.0\n2.0\n".encode("utf-16-le"),
+    ], ids=["arabic_indic_digit", "utf16_bom"])
+    def test_non_ascii_fixed_strategy_exits_2(self, tmp_path, capsys, content):
+        # the strategy file is ASCII, like a matrix file, whatever the locale
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.random.default_rng(1).standard_normal((6, 6)))
+        params = tmp_path / "params.txt"
+        params.write_bytes(content)
+        assert run_cli("reduce", path, "--algo", "jhsh",
+                       "--strategy", f"fixed:{params}") == 2
+        assert "must hold one float per line" in capsys.readouterr().err
+
     def test_bad_strategy_exits_2(self, tmp_path):
         path = tmp_path / "m.txt"
         write_matrix(path, np.eye(4))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import symhess
 
 
@@ -9,3 +11,15 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from symhess import *", namespace)
     assert set(symhess.__all__) <= set(namespace)
+
+
+def test_readme_library_use_runs(capsys):
+    # the README's example uses only public names, so dropping one that it
+    # still calls fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    verdict, orth_loss, red_err = capsys.readouterr().out.split()
+    assert verdict == "True"
+    assert float(orth_loss) < 1e-8 and float(red_err) < 1e-8

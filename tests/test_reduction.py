@@ -20,7 +20,6 @@ from symhess import (
     adjoint_mat,
     apply_left,
     apply_right_adjoint,
-    breakdown_fallback,
     densify,
     gen_family1,
     gen_family2,
@@ -427,39 +426,47 @@ class TestFallback:
     def test_case_b_concentrates_lower_segment(self):
         # pivot zero but mass below it: one reflector moves it up
         n = 3
+        a = np.random.default_rng(0).standard_normal((2 * n, 2 * n))
         col = np.array([1.0, 2.0, 3.0, 0.0, 5.0, 0.0])
-        transforms = breakdown_fallback(col, 1)
-        assert len(transforms) == 1
-        t = transforms[0]
+        a[:, 0] = col
+        res = jhosh(a)
+        assert res.fallbacks_used == ((1, "odd_case_b"),)
+        t = res.transcript[0]
         assert isinstance(t, TransformVLH)
         out = col.copy()
         apply_left(t, out)
         assert abs(out[n]) == pytest.approx(5.0, rel=1e-14)
         assert np.max(np.abs(out[n + 1:])) <= 1e-14
+        assert structure_report(res.h, 0.0).is_upper_j_hessenberg
+        assert res.red_err <= 1e-12 * spectral_norm(a)
 
     def test_zero_column_degenerates_to_identity(self):
-        transforms = breakdown_fallback(np.zeros(6), 1)
-        assert len(transforms) == 1
-        assert transforms[0].is_identity
+        # nothing to eliminate: an identity reflector is recorded and the
+        # odd sub-step is skipped
+        a = np.random.default_rng(0).standard_normal((6, 6))
+        a[:, 0] = 0.0
+        res = jhsh(a, ReductionOptions(strategy=SeededStrategy(7)))
+        assert res.fallbacks_used == ((1, "odd_degenerate"),)
+        t = res.transcript[0]
+        assert isinstance(t, TransformVLH) and t.is_identity
+        assert structure_report(res.h, 0.0).is_upper_j_hessenberg
 
     def test_case_a_moves_upper_mass_to_pivot_row(self):
+        # a family column has no lower-segment mass: the case-A chain (two
+        # reflectors around a rotation) moves upper mass onto the pivot row
         n = 3
-        col = np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0])  # family-style column
-        transforms = breakdown_fallback(col, 1)
-        out = col.copy()
-        for t in transforms:
-            apply_left(t, out)
-        assert abs(out[n]) > 0.1  # pivot restored
-
-    def test_unrecoverable_returns_none(self):
-        col = np.full(6, np.nan)
-        assert breakdown_fallback(col, 1) is None
-
-    def test_fallback_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            breakdown_fallback(np.zeros(5), 1)
-        with pytest.raises(ValueError):
-            breakdown_fallback(np.zeros(6), 4)
+        a = gen_family1(n)
+        assert a[n, 0] == 0.0 and not a[n:, 0].any()
+        res = jhosh(a)
+        assert res.fallbacks_used == ((1, "odd_case_a"),)
+        chain = res.transcript[:3]
+        assert [type(t) for t in chain] == [TransformVLH, TransformGivens, TransformVLH]
+        assert isinstance(res.transcript[3], TransformSH)
+        w = a.astype(float)
+        for t in chain:
+            apply_left(t, w)
+            apply_right_adjoint(t, w)
+        assert abs(w[n, 0]) > 0.1 * np.linalg.norm(w[:, 0])  # pivot restored
 
     def test_even_substep_fallback(self):
         # column 1 already reduced (odd step is the identity) while the even
