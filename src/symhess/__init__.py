@@ -43,10 +43,6 @@ from .reduction import (
     ReductionOptions,
     ReductionResult,
     SeededStrategy,
-    jhmsh,
-    jhmsh2,
-    jhosh,
-    jhsh,
     reduce,
 )
 from .experiments import (
@@ -71,8 +67,7 @@ __all__ = [
     "general_mapping", "osh1", "osh2", "sh1", "sh2", "vlg", "vlg_sweep", "vlh",
     "VARIANTS", "BreakdownError", "FixedStrategy", "OptimalStrategy",
     "ParamStrategy", "ReductionOptions", "ReductionResult",
-    "SeededStrategy", "jhmsh", "jhmsh2", "jhosh",
-    "jhsh", "reduce",
+    "SeededStrategy", "reduce",
     "FamilySpec", "SweepRow", "emit_table", "gen_family1", "gen_family2",
     "run_sweep",
     "MatrixFormatError", "read_matrix", "write_matrix",

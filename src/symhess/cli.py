@@ -3,14 +3,14 @@ sweep experiment tables, and check factorizations.
 
 Exit codes: 0 success, 2 bad arguments, 3 I/O failure or malformed matrix
 file, 4 breakdown, 5 non-square/odd/mismatched input, 6 structure check
-failed.  The commands raise; ``_EXIT_CODES`` maps each error to its code.
+failed.  The commands raise, and ``main`` maps each error to its code
+through ``_EXIT_CODES``.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import functools
 import os
 import sys
 
@@ -31,7 +31,7 @@ from .reduction import (
     reduce,
 )
 
-__all__ = ["main", "run", "cmd_gen", "cmd_reduce", "cmd_experiment", "cmd_check"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -51,6 +51,8 @@ def _parse_strategy(text: str) -> ParamStrategy:
             raise ValueError(f"bad seed in strategy {text!r}")
         if seed < 0:
             raise ValueError("seed must be nonnegative")
+        if seed >= 2 ** 64:  # the generator keeps 64 bits: it would alias a smaller seed
+            raise ValueError("seed must be below 2^64")
         return SeededStrategy(seed)
     if text.startswith("fixed:"):
         path = text.split(":", 1)[1]
@@ -91,7 +93,7 @@ def _check_writable(path) -> None:
         code = 0 if os.access(path, os.W_OK) else errno.EACCES
     else:
         parent = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(parent):
+        if not path or not os.path.isdir(parent):  # open("") fails, abspath("") is the cwd
             code = errno.ENOENT
         else:
             code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
@@ -108,78 +110,55 @@ _EXIT_CODES = {
 }
 
 
-def _exit_codes(cmd):
-    """Run ``cmd``; a ``BreakdownError`` prints its step lines on stdout and
-    exits 4, an error in ``_EXIT_CODES`` prints its message on stderr."""
-    @functools.wraps(cmd)
-    def wrapper(*args, **kwargs) -> int:
-        try:
-            return cmd(*args, **kwargs)
-        except BreakdownError as exc:
-            print(f"step={exc.step}\nsubstep={exc.substep}\nkind={exc.kind}")
-            return EXIT_BREAKDOWN
-        except tuple(_EXIT_CODES) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-    return wrapper
-
-
-@_exit_codes
-def cmd_gen(family: int, n: int, out) -> int:
-    write_matrix(out, FamilySpec(family, n).generate())
+def _gen(args) -> int:
+    write_matrix(args.out, FamilySpec(args.family, args.n).generate())
     return EXIT_OK
 
 
-@_exit_codes
-def cmd_reduce(input, algo: str, strategy: str = "optimal", fallback: bool = True,
-               out_h=None, out_s=None, pivot_tol: float = DEFAULT_BREAKDOWN_TOL) -> int:
-    if algo not in VARIANTS:  # case-sensitive, unlike the library
-        raise ValueError(f"unknown algo {algo!r}")
-    strat = _parse_strategy(strategy)
-    for out in (out_h, out_s):
+def _reduce(args) -> int:
+    strat = _parse_strategy(args.strategy)
+    for out in (args.out_h, args.out_s):
         if out is not None:
             _check_writable(out)
-    a = _load_square_even(input)
-    res = reduce(a, algo, ReductionOptions(strategy=strat, breakdown_fallback=fallback,
-                                           pivot_tol=pivot_tol))
-    if out_h is not None:
-        write_matrix(out_h, res.h)
-    if out_s is not None:
-        write_matrix(out_s, res.s)
+    a = _load_square_even(args.input)
+    res = reduce(a, args.algo, ReductionOptions(strategy=strat,
+                                                breakdown_fallback=args.fallback == "on",
+                                                pivot_tol=args.pivot_tol))
+    if args.out_h is not None:
+        write_matrix(args.out_h, res.h)
+    if args.out_s is not None:
+        write_matrix(args.out_s, res.s)
     print(f"orth_loss={res.orth_loss:.17g}")
     print(f"red_err={res.red_err:.17g}")
     print(f"fallbacks={len(res.fallbacks_used)}")
     return EXIT_OK
 
 
-@_exit_codes
-def cmd_experiment(family: int, n_min: int, n_max: int, algos: list[str],
-                   format: str = "csv", out=None) -> int:
-    # run_sweep checks the family and sizes up front; these it does not.
+def _experiment(args) -> int:
+    # run_sweep checks the family and sizes up front; argparse cannot check
+    # the names in a comma-separated list.
+    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not algos:
         raise ValueError("need at least one algo")
     for algo in algos:
         if algo not in VARIANTS:
             raise ValueError(f"unknown algo {algo!r}")
-    if format not in ("csv", "markdown"):
-        raise ValueError(f"unknown format {format!r}")
-    if out is not None:
-        _check_writable(out)
-    rows = run_sweep(family, n_min, n_max, algos, ReductionOptions())
-    text = emit_table(rows, format)
-    if out is None:
+    if args.out is not None:
+        _check_writable(args.out)
+    rows = run_sweep(args.family, args.n_min, args.n_max, algos, ReductionOptions())
+    text = emit_table(rows, args.format)
+    if args.out is None:
         sys.stdout.write(text)
         return EXIT_OK
-    with open(out, "w", newline="\n") as fh:
+    with open(args.out, "w", newline="\n") as fh:
         fh.write(text)
     return EXIT_OK
 
 
-@_exit_codes
-def cmd_check(a_path, s_path, h_path) -> int:
-    a = _load_square_even(a_path)
-    s = _load_square_even(s_path)
-    h = _load_square_even(h_path)
+def _check(args) -> int:
+    a = _load_square_even(args.a)
+    s = _load_square_even(args.s)
+    h = _load_square_even(args.h)
     if not a.shape == s.shape == h.shape:
         raise _BadMatrix("A, S, H must all have the same shape")
     orth_loss = symplecticity_residual(s)
@@ -203,6 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_gen)
 
     p = sub.add_parser("reduce", help="reduce a matrix file to J-Hessenberg form")
     p.add_argument("input")
@@ -214,6 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pivot-tol", type=float, default=DEFAULT_BREAKDOWN_TOL)
     p.add_argument("--out-h", default=None)
     p.add_argument("--out-s", default=None)
+    p.set_defaults(handler=_reduce)
 
     p = sub.add_parser("experiment", help="sweep a family over a size range")
     p.add_argument("--family", type=int, required=True)
@@ -223,33 +204,33 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated list from: " + ", ".join(VARIANTS))
     p.add_argument("--format", default="csv", choices=("csv", "markdown"))
     p.add_argument("--out", default=None)
+    p.set_defaults(handler=_experiment)
 
     p = sub.add_parser("check", help="verify a factorization A ~ S^J H S")
     p.add_argument("a")
     p.add_argument("s")
     p.add_argument("h")
+    p.set_defaults(handler=_check)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  A ``BreakdownError``
+    prints its step lines on stdout and exits 4; an error in
+    ``_EXIT_CODES`` prints its message on stderr."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    if args.command == "gen":
-        return cmd_gen(args.family, args.n, args.out)
-    if args.command == "reduce":
-        return cmd_reduce(args.input, args.algo, args.strategy,
-                          args.fallback == "on", args.out_h, args.out_s,
-                          args.pivot_tol)
-    if args.command == "experiment":
-        algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-        return cmd_experiment(args.family, args.n_min, args.n_max, algos,
-                              args.format, args.out)
-    if args.command == "check":
-        return cmd_check(args.a, args.s, args.h)
-    return EXIT_USAGE  # pragma: no cover
+    try:
+        return args.handler(args)
+    except BreakdownError as exc:
+        print(f"step={exc.step}\nsubstep={exc.substep}\nkind={exc.kind}")
+        return EXIT_BREAKDOWN
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def run() -> None:

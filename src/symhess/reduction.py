@@ -73,10 +73,6 @@ __all__ = [
     "ReductionOptions",
     "ReductionResult",
     "BreakdownError",
-    "jhsh",
-    "jhosh",
-    "jhmsh",
-    "jhmsh2",
     "reduce",
     "VARIANTS",
 ]
@@ -319,6 +315,9 @@ class _Driver:
             self.similarity(vlh(row0, column))
             yield "degenerate"
         elif np.any(np.abs(column[n + row0:]) > self.opts.pivot_tol * scale):
+            # The copy is contiguous: the reflector's ``seg[1:] @ seg[1:]``
+            # rounds differently on a strided view of A, and results keep
+            # the contiguous rounding.
             self.similarity(_vlh_from_segment(row0, column[n + row0 - 1:].copy(), n))
             yield "case_b"
         else:
@@ -331,7 +330,7 @@ class _Driver:
             chain = [vlh(row0 + 1, scratch), _vlg_lowering(row0 + 1, scratch)] if row0 < n else []
             for t in chain:
                 apply_left(t, scratch)
-            chain.append(_vlh_from_segment(row0, scratch[n + row0 - 1:].copy(), n))
+            chain.append(_vlh_from_segment(row0, scratch[n + row0 - 1:], n))
             for t in chain:
                 self.similarity(t)
             yield "case_a"
@@ -375,6 +374,7 @@ class _Driver:
         n, col = self.n, self.n + j
         segment = self.A[n + j:, col - 1]
         if segment.size >= 2:
+            # contiguous for the dot product's rounding, as in case B
             self.similarity(_vlh_from_segment(j + 1, segment.copy(), n))
         self.similarity(vlg(j + 1, self.A[:, col - 1]))
         if j <= n - 2:
@@ -442,32 +442,8 @@ def _algorithm(variant: str, opts: ReductionOptions):
 def reduce(a, variant: str, opts: ReductionOptions | None = None) -> ReductionResult:
     """Reduce ``a`` with one of the four variants, named case-insensitively.
 
-    ``a`` is read in place, not copied, so it must not change during the
-    call.
+    Only ``jhsh`` takes its free parameters from ``opts.strategy``; the
+    others use the minimum-condition choices and ignore it.  ``a`` is read
+    in place, not copied, so it must not change during the call.
     """
     return _Driver(a, variant, opts if opts is not None else ReductionOptions()).run()
-
-
-def jhsh(a, opts: ReductionOptions | None = None) -> ReductionResult:
-    """Reduction with symplectic Householder transforms in both sub-steps;
-    free parameters come from ``opts.strategy``."""
-    return reduce(a, "jhsh", opts)
-
-
-def jhosh(a, opts: ReductionOptions | None = None) -> ReductionResult:
-    """jhsh with the minimum-condition parameter choices; the strategy
-    field of ``opts`` is ignored."""
-    return reduce(a, "jhosh", opts)
-
-
-def jhmsh(a, opts: ReductionOptions | None = None) -> ReductionResult:
-    """Odd sub-steps as jhosh; even sub-steps via orthogonal Van Loan
-    rotations (k = n down to j+1) plus one reflector."""
-    return reduce(a, "jhmsh", opts)
-
-
-def jhmsh2(a, opts: ReductionOptions | None = None) -> ReductionResult:
-    """jhmsh with a compact even sub-step: concentrate the lower segment
-    with one reflector, rotate it away, then one reflector for the upper
-    segment."""
-    return reduce(a, "jhmsh2", opts)

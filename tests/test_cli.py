@@ -8,7 +8,7 @@ import pytest
 
 import symhess
 from symhess import gen_family1, read_matrix, write_matrix
-from symhess.cli import cmd_experiment, cmd_gen, main
+from symhess.cli import main
 
 
 posix_only = pytest.mark.skipif(sys.platform == "win32", reason="POSIX file semantics")
@@ -43,8 +43,8 @@ class TestGen:
         assert run_cli("gen", "--family", 1, "--n", 1,
                        "--out", tmp_path / "a.txt") == 2
 
-    def test_cmd_gen_bad_family_exits_2(self, tmp_path):
-        assert cmd_gen(3, 4, tmp_path / "a.txt") == 2
+    def test_bad_family_creates_no_file(self, tmp_path):
+        assert run_cli("gen", "--family", 3, "--n", 4, "--out", tmp_path / "a.txt") == 2
         assert not (tmp_path / "a.txt").exists()
 
     def test_unwritable_path_exits_3(self, tmp_path):
@@ -161,6 +161,20 @@ class TestReduce:
                        "--strategy", f"fixed:{params}") == 2
         assert "must hold one float per line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64), hex(2 ** 64)])
+    def test_seed_outside_u64_exits_2(self, tmp_path, capsys, seed):
+        # the generator keeps 64 bits, so 2^64 would run as seed 0
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.random.default_rng(1).standard_normal((6, 6)))
+        assert run_cli("reduce", path, "--algo", "jhsh", "--strategy", f"seeded:{seed}") == 2
+        assert "seed must be" in capsys.readouterr().err
+
+    def test_largest_u64_seed_runs(self, tmp_path):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.random.default_rng(1).standard_normal((6, 6)))
+        assert run_cli("reduce", path, "--algo", "jhsh",
+                       "--strategy", f"seeded:{2 ** 64 - 1}") == 0
+
     def test_bad_strategy_exits_2(self, tmp_path):
         path = tmp_path / "m.txt"
         write_matrix(path, np.eye(4))
@@ -204,6 +218,18 @@ class TestOutputPathsCheckedFirst:
         assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 150,
                        "--algos", "jhmsh", "--out", missing) == 3
         assert "No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out-h", "--out-s"])
+    def test_reduce_empty_path_exits_3(self, tmp_path, capsys, no_work, flag):
+        a_path = tmp_path / "a.txt"
+        write_matrix(a_path, gen_family1(3))
+        assert run_cli("reduce", a_path, "--algo", "jhmsh", flag, "") == 3
+        assert "No such file or directory: ''" in capsys.readouterr().err
+
+    def test_experiment_empty_path_exits_3(self, capsys, no_work):
+        assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 150,
+                       "--algos", "jhmsh", "--out", "") == 3
+        assert "No such file or directory: ''" in capsys.readouterr().err
 
     def test_breakdown_leaves_outputs_alone(self, tmp_path, capsys):
         a_path, h_path, s_path = tmp_path / "a.txt", tmp_path / "h.txt", tmp_path / "s.txt"
@@ -347,12 +373,13 @@ class TestExperiment:
         assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 3,
                        "--algos", "JHMSH") == 2
 
-    def test_cmd_experiment_bad_format_exits_2_before_sweeping(self, monkeypatch):
+    def test_bad_format_exits_2_before_sweeping(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the format must be checked before the sweep")
 
         monkeypatch.setattr(symhess.cli, "run_sweep", refuse)
-        assert cmd_experiment(1, 2, 3, ["jhmsh"], format="xml") == 2
+        assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 3,
+                       "--algos", "jhmsh", "--format", "xml") == 2
 
 
 class TestEntryPoints:

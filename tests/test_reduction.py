@@ -23,10 +23,6 @@ from symhess import (
     densify,
     gen_family1,
     gen_family2,
-    jhmsh,
-    jhmsh2,
-    jhosh,
-    jhsh,
     reduce,
     spectral_norm,
     structure_report,
@@ -56,10 +52,10 @@ def _transform_key(t):
         for v in (getattr(t, f.name) for f in dataclasses.fields(t)))
 
 
-def _outcome(fn, a, opts=None):
+def _outcome(variant, a, opts=None):
     """Everything a reduction returns, bit for bit, or the breakdown it raises."""
     try:
-        res = fn(a, opts)
+        res = reduce(a, variant, opts)
     except BreakdownError as exc:
         return ("breakdown", exc.step, exc.substep, exc.kind, repr(exc.pivot_value))
     return ("ok", res.h.tobytes(), res.s.tobytes(), [_transform_key(t) for t in res.transcript],
@@ -101,17 +97,17 @@ class TestTrivial:
 class TestInputValidation:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            jhsh(np.zeros((4, 6)))
+            reduce(np.zeros((4, 6)), "jhsh")
 
     def test_rejects_odd_size(self):
         with pytest.raises(ValueError):
-            jhmsh(np.zeros((3, 3)))
+            reduce(np.zeros((3, 3)), "jhmsh")
 
     def test_rejects_nonfinite(self):
         a = np.eye(4)
         a[0, 0] = np.nan
         with pytest.raises(ValueError):
-            jhosh(a)
+            reduce(a, "jhosh")
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -160,14 +156,14 @@ class TestInputValidation:
         for seed in (np.int64(-5), np.uint64(7), np.int8(7)):
             strategy = SeededStrategy(seed)
             assert type(strategy.seed) is int
-            expect = jhsh(a, ReductionOptions(strategy=SeededStrategy(int(seed))))
-            got = jhsh(a, ReductionOptions(strategy=strategy))
+            expect = reduce(a, "jhsh", ReductionOptions(strategy=SeededStrategy(int(seed))))
+            got = reduce(a, "jhsh", ReductionOptions(strategy=strategy))
             assert np.array_equal(got.h, expect.h), seed
 
     def test_fixed_strategy_length_checked(self):
         opts = ReductionOptions(strategy=FixedStrategy(rhos=(1.0,), mus=(1.0,)))
         with pytest.raises(ValueError):
-            jhsh(np.random.default_rng(0).standard_normal((8, 8)), opts)
+            reduce(np.random.default_rng(0).standard_normal((8, 8)), "jhsh", opts)
 
 
 class TestFactorization:
@@ -191,7 +187,7 @@ class TestFactorization:
         a = np.random.default_rng(1).standard_normal((6, 6))
         opts = ReductionOptions(strategy=SeededStrategy(1),
                                 breakdown_fallback=False, pivot_tol=0.05)
-        res = jhsh(a, opts)
+        res = reduce(a, "jhsh", opts)
         assert structure_report(res.h, 0.0).is_upper_j_hessenberg
         assert res.red_err <= 1e-10 * spectral_norm(a)
 
@@ -210,10 +206,10 @@ class TestFactorization:
     def test_transcript_kinds(self):
         rng = np.random.default_rng(300)
         a = well_pivoted(rng, 8)
-        assert all(isinstance(t, TransformSH)
-                   for t in jhsh(a, ReductionOptions(strategy=SeededStrategy(3))).transcript)
-        assert all(isinstance(t, TransformSH) for t in jhosh(a).transcript)
-        for res in (jhmsh(a), jhmsh2(a)):
+        seeded = ReductionOptions(strategy=SeededStrategy(3))
+        assert all(isinstance(t, TransformSH) for t in reduce(a, "jhsh", seeded).transcript)
+        assert all(isinstance(t, TransformSH) for t in reduce(a, "jhosh").transcript)
+        for res in (reduce(a, "jhmsh"), reduce(a, "jhmsh2")):
             orthogonal = [t for t in res.transcript
                           if isinstance(t, (TransformGivens, TransformVLH))]
             sh_kind = [t for t in res.transcript if isinstance(t, TransformSH)]
@@ -226,7 +222,7 @@ class TestFactorization:
 
     def test_jhmsh_and_jhmsh2_same_structure_different_entries(self):
         a = well_pivoted(np.random.default_rng(400), 6)
-        r1, r2 = jhmsh(a), jhmsh2(a)
+        r1, r2 = reduce(a, "jhmsh"), reduce(a, "jhmsh2")
         assert structure_report(r1.h, 0.0).is_upper_j_hessenberg
         assert structure_report(r2.h, 0.0).is_upper_j_hessenberg
 
@@ -254,8 +250,9 @@ class TestFactorization:
         while total < 100:
             a = rng.standard_normal((8, 8))
             try:
-                r_opt = jhosh(a, ReductionOptions(**screen))
-                r_sh = jhsh(a, ReductionOptions(strategy=SeededStrategy(total), **screen))
+                r_opt = reduce(a, "jhosh", ReductionOptions(**screen))
+                r_sh = reduce(a, "jhsh",
+                              ReductionOptions(strategy=SeededStrategy(total), **screen))
             except BreakdownError:
                 continue
             total += 1
@@ -272,8 +269,8 @@ class TestFreeParameters:
         a = well_pivoted(rng, 2 * n)
         rhos = (1.25, -0.75, 2.5)
         mus = (0.5, 3.0, -1.5)
-        res = jhsh(a, ReductionOptions(strategy=FixedStrategy(rhos=rhos, mus=mus),
-                                       breakdown_fallback=False))
+        res = reduce(a, "jhsh", ReductionOptions(strategy=FixedStrategy(rhos=rhos, mus=mus),
+                                                 breakdown_fallback=False))
         for j in range(1, n):
             assert res.h[j - 1, j - 1] == pytest.approx(mus[j - 1], rel=1e-10, abs=1e-10)
             assert res.h[j, n + j - 1] == pytest.approx(rhos[j - 1], rel=1e-10, abs=1e-10)
@@ -281,30 +278,30 @@ class TestFreeParameters:
     def test_seeded_strategy_reproducible(self):
         a = np.random.default_rng(600).standard_normal((8, 8))
         opts = ReductionOptions(strategy=SeededStrategy(42))
-        r1 = jhsh(a, opts)
-        r2 = jhsh(a, opts)
+        r1 = reduce(a, "jhsh", opts)
+        r2 = reduce(a, "jhsh", opts)
         assert np.array_equal(r1.h, r2.h)
         assert np.array_equal(r1.s, r2.s)
-        r3 = jhsh(a, ReductionOptions(strategy=SeededStrategy(43)))
+        r3 = reduce(a, "jhsh", ReductionOptions(strategy=SeededStrategy(43)))
         assert not np.array_equal(r1.h, r3.h)
 
     def test_jhosh_ignores_strategy(self):
         a = well_pivoted(np.random.default_rng(700), 6)
-        r1 = jhosh(a, ReductionOptions(strategy=SeededStrategy(1)))
-        r2 = jhosh(a, ReductionOptions(strategy=OptimalStrategy()))
+        r1 = reduce(a, "jhosh", ReductionOptions(strategy=SeededStrategy(1)))
+        r2 = reduce(a, "jhosh", ReductionOptions(strategy=OptimalStrategy()))
         assert np.array_equal(r1.h, r2.h)
 
     def test_jhsh_with_optimal_strategy_is_jhosh(self):
         opts = ReductionOptions(strategy=OptimalStrategy())
         for a in _table_inputs():
-            assert _outcome(jhsh, a, opts) == _outcome(jhosh, a)
+            assert _outcome("jhsh", a, opts) == _outcome("jhosh", a)
 
     def test_seeded_strategy_draws_mu_then_rho(self):
         for seed, a in enumerate(_table_inputs()):
             n = a.shape[0] // 2
             seeded = ReductionOptions(strategy=SeededStrategy(seed))
             fixed = ReductionOptions(strategy=_lcg_fixed_strategy(seed, n - 1))
-            assert _outcome(jhsh, a, seeded) == _outcome(jhsh, a, fixed), seed
+            assert _outcome("jhsh", a, seeded) == _outcome("jhsh", a, fixed), seed
 
 
 class TestColumnPreservation:
@@ -337,7 +334,7 @@ class TestBreakdowns:
 
     def test_error_carries_pivot_value(self):
         try:
-            jhosh(gen_family1(3), ReductionOptions(breakdown_fallback=False))
+            reduce(gen_family1(3), "jhosh", ReductionOptions(breakdown_fallback=False))
         except BreakdownError as exc:
             assert exc.pivot_value == 0.0
             assert "step 1" in str(exc)
@@ -361,7 +358,7 @@ class TestContract:
         # the case-B reflector of step 13 would mix H12(13, 12) into rows
         # 14..n of column n+12
         with pytest.raises(BreakdownError) as exc:
-            jhosh(gen_family1(19))
+            reduce(gen_family1(19), "jhosh")
         assert (exc.value.step, exc.value.substep, exc.value.kind) == (13, "odd", "ZeroNu")
 
     def test_odd_rescue_kept_where_h12_subdiagonal_is_zero(self):
@@ -381,14 +378,14 @@ class TestContract:
     def test_overflow_raises_non_finite(self):
         # element growth overflows during step 23
         with pytest.raises(BreakdownError) as exc:
-            jhsh(gen_family2(27), ReductionOptions(strategy=SeededStrategy(7)))
+            reduce(gen_family2(27), "jhsh", ReductionOptions(strategy=SeededStrategy(7)))
         assert (exc.value.step, exc.value.substep, exc.value.kind) == (23, "even", "NonFinite")
         assert not math.isfinite(exc.value.pivot_value)
 
     def test_non_finite_metric_raises(self, monkeypatch):
         monkeypatch.setattr(reduction, "symplecticity_residual", lambda s: float("nan"))
         with pytest.raises(BreakdownError) as exc:
-            jhmsh(gen_family1(3))
+            reduce(gen_family1(3), "jhmsh")
         assert (exc.value.step, exc.value.substep, exc.value.kind) == (2, "even", "NonFinite")
 
 
@@ -406,21 +403,21 @@ class TestFallback:
     def test_family_with_seeded_parameters_completes(self):
         # seeded parameters are reproducible but not accuracy-optimal, so
         # only structure and rough magnitudes are guaranteed
-        res = jhsh(gen_family1(4), ReductionOptions(strategy=SeededStrategy(9)))
+        res = reduce(gen_family1(4), "jhsh", ReductionOptions(strategy=SeededStrategy(9)))
         assert structure_report(res.h, 0.0).is_upper_j_hessenberg
         assert res.red_err <= 1e-3
 
     def test_family1_n10_jhmsh_magnitudes(self):
-        res = jhmsh(gen_family1(10))
+        res = reduce(gen_family1(10), "jhmsh")
         assert res.red_err <= 1e-5
         assert res.orth_loss <= 1e-5
 
     def test_family1_n10_jhmsh2_magnitudes(self):
-        res = jhmsh2(gen_family1(10))
+        res = reduce(gen_family1(10), "jhmsh2")
         assert res.red_err <= 1e-5
 
     def test_family2_n8_jhmsh_magnitudes(self):
-        res = jhmsh(gen_family2(8))
+        res = reduce(gen_family2(8), "jhmsh")
         assert res.red_err <= 1e-10
 
     def test_case_b_concentrates_lower_segment(self):
@@ -429,7 +426,7 @@ class TestFallback:
         a = np.random.default_rng(0).standard_normal((2 * n, 2 * n))
         col = np.array([1.0, 2.0, 3.0, 0.0, 5.0, 0.0])
         a[:, 0] = col
-        res = jhosh(a)
+        res = reduce(a, "jhosh")
         assert res.fallbacks_used == ((1, "odd_case_b"),)
         t = res.transcript[0]
         assert isinstance(t, TransformVLH)
@@ -445,7 +442,7 @@ class TestFallback:
         # odd sub-step is skipped
         a = np.random.default_rng(0).standard_normal((6, 6))
         a[:, 0] = 0.0
-        res = jhsh(a, ReductionOptions(strategy=SeededStrategy(7)))
+        res = reduce(a, "jhsh", ReductionOptions(strategy=SeededStrategy(7)))
         assert res.fallbacks_used == ((1, "odd_degenerate"),)
         t = res.transcript[0]
         assert isinstance(t, TransformVLH) and t.is_identity
@@ -457,7 +454,7 @@ class TestFallback:
         n = 3
         a = gen_family1(n)
         assert a[n, 0] == 0.0 and not a[n:, 0].any()
-        res = jhosh(a)
+        res = reduce(a, "jhosh")
         assert res.fallbacks_used == ((1, "odd_case_a"),)
         chain = res.transcript[:3]
         assert [type(t) for t in chain] == [TransformVLH, TransformGivens, TransformVLH]
@@ -478,9 +475,9 @@ class TestFallback:
         a[n + 1, n] = 0.0
         a[n + 2, n] = 0.0
         with pytest.raises(BreakdownError) as exc:
-            jhosh(a, ReductionOptions(breakdown_fallback=False))
+            reduce(a, "jhosh", ReductionOptions(breakdown_fallback=False))
         assert (exc.value.step, exc.value.substep, exc.value.kind) == (1, "even", "ZeroPivot")
-        res = jhosh(a)
+        res = reduce(a, "jhosh")
         assert structure_report(res.h, 0.0).is_upper_j_hessenberg
         assert res.red_err <= 1e-12 * spectral_norm(a)
         assert res.fallbacks_used == ((1, "even_case_a"),)
@@ -489,13 +486,13 @@ class TestFallback:
 class TestResultDiagnostics:
     def test_orth_and_red_match_definitions(self):
         a = well_pivoted(np.random.default_rng(1000), 6)
-        res = jhmsh(a)
+        res = reduce(a, "jhmsh")
         assert res.orth_loss == symplecticity_residual(res.s)
         assert res.red_err == spectral_norm(res.h - adjoint_mat(res.s) @ a @ res.s)
 
     def test_result_arrays_are_private_copies(self):
         a = well_pivoted(np.random.default_rng(1100), 6)
-        res = jhmsh(a)
+        res = reduce(a, "jhmsh")
         h0 = res.h.copy()
         a[:] = 0.0
         assert np.array_equal(res.h, h0)
@@ -519,13 +516,13 @@ class TestResultDiagnostics:
     def test_red_err_of_fortran_ordered_input(self):
         # at this size the product's rounding depends on the layout of A
         a = np.asfortranarray(np.random.default_rng([1160, 0]).standard_normal((20, 20)))
-        res = jhmsh(a)
+        res = reduce(a, "jhmsh")
         c_ordered = np.array(a, order="C")
         assert res.red_err == spectral_norm(res.h - adjoint_mat(res.s) @ c_ordered @ res.s)
 
     def test_without_exact_zeros_structure_holds_at_tolerance(self):
         a = well_pivoted(np.random.default_rng(1300), 8)
-        res = jhmsh(a, ReductionOptions(set_exact_zeros=False))
+        res = reduce(a, "jhmsh", ReductionOptions(set_exact_zeros=False))
         tol = 1e-12 * np.linalg.norm(res.h, "fro")
         assert structure_report(res.h, tol).is_upper_j_hessenberg
         assert res.red_err <= 1e-10 * spectral_norm(a)
@@ -643,11 +640,11 @@ class TestTranscriptSimilarityReplay:
         for name, a in _jhmsh_replay_inputs():
             if name.startswith("family2") and a.shape[0] >= 2 * 27:
                 with pytest.raises(BreakdownError) as exc:
-                    jhmsh(a, opts)
+                    reduce(a, "jhmsh", opts)
                 assert exc.value.substep == "odd" and exc.value.step > 1, name
                 refused += 1
                 continue
-            res = jhmsh(a, opts)
+            res = reduce(a, "jhmsh", opts)
             h, s = a.copy(), np.eye(a.shape[0])
             for record in res.transcript:
                 givens = isinstance(record, TransformGivens)
@@ -683,7 +680,8 @@ class TestTranscriptSimilarityReplay:
 
     def test_jhmsh_records_one_sweep_per_step(self):
         n = 50
-        res = jhmsh(np.random.default_rng([1500, 50]).standard_normal((2 * n, 2 * n)))
+        a = np.random.default_rng([1500, 50]).standard_normal((2 * n, 2 * n))
+        res = reduce(a, "jhmsh")
         assert res.fallbacks_used == ()
         kinds = [type(t) for t in res.transcript]
         assert (kinds.count(TransformSH), kinds.count(TransformGivens),
@@ -706,7 +704,7 @@ class TestIdentitySweepSkipped:
             a[rows, cols] = np.triu(a[rows, cols])
         a[a == 0.0] = -0.0
         for opts in (ReductionOptions(), ReductionOptions(set_exact_zeros=False)):
-            res = jhmsh(a, opts)
+            res = reduce(a, "jhmsh", opts)
             assert all(t.is_identity for t in res.transcript)
             expect = a.copy()
             if opts.set_exact_zeros:
