@@ -6,6 +6,7 @@ from .core import (
     adjoint_mat,
     j_inner,
     make_j,
+    reduction_residual,
     spectral_norm,
     structure_report,
     symplecticity_residual,
@@ -58,8 +59,8 @@ from .matrixio import MatrixFormatError, read_matrix, write_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "StructureReport", "adjoint_mat", "j_inner", "make_j", "spectral_norm",
-    "structure_report", "symplecticity_residual",
+    "StructureReport", "adjoint_mat", "j_inner", "make_j", "reduction_residual",
+    "spectral_norm", "structure_report", "symplecticity_residual",
     "DEFAULT_BREAKDOWN_TOL", "Breakdown", "FreeParams", "InvalidParam",
     "MappingBreakdown", "SymplecticTransform", "TransformGivens",
     "TransformSH", "TransformVLH", "apply_left", "apply_right_adjoint",

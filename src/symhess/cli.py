@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .core import adjoint_mat, spectral_norm, structure_report, symplecticity_residual
+from .core import reduction_residual, spectral_norm, structure_report, symplecticity_residual
 from .experiments import FamilySpec, emit_table, run_sweep
 from .matrixio import MatrixFormatError, read_matrix, write_matrix
 from .reduction import (
@@ -49,11 +49,7 @@ def _parse_strategy(text: str) -> ParamStrategy:
             seed = int(text.split(":", 1)[1], 0)
         except ValueError:
             raise ValueError(f"bad seed in strategy {text!r}")
-        if seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if seed >= 2 ** 64:  # the generator keeps 64 bits: it would alias a smaller seed
-            raise ValueError("seed must be below 2^64")
-        return SeededStrategy(seed)
+        return SeededStrategy(seed)  # refuses a seed outside 0..2^64-1
     if text.startswith("fixed:"):
         path = text.split(":", 1)[1]
         try:
@@ -95,6 +91,8 @@ def _check_writable(path) -> None:
         parent = os.path.dirname(os.path.abspath(path))
         if not path or not os.path.isdir(parent):  # open("") fails, abspath("") is the cwd
             code = errno.ENOENT
+        elif path.endswith((os.sep, os.altsep or os.sep)):  # abspath drops it; open cannot create "new/"
+            code = errno.EISDIR
         else:
             code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
     if code:
@@ -162,7 +160,7 @@ def _check(args) -> int:
     if not a.shape == s.shape == h.shape:
         raise _BadMatrix("A, S, H must all have the same shape")
     orth_loss = symplecticity_residual(s)
-    red_err = spectral_norm(h - adjoint_mat(s) @ a @ s)
+    red_err = spectral_norm(reduction_residual(a, h, s))
     tol = 1e-10 * float(np.linalg.norm(h, "fro"))
     report = structure_report(h, tol)
     print(f"orth_loss={orth_loss:.17g}")

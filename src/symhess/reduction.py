@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import adjoint_mat, spectral_norm, symplecticity_residual
+from .core import reduction_residual, spectral_norm, symplecticity_residual
 from .transforms import (
     DEFAULT_BREAKDOWN_TOL,
     Breakdown,
@@ -106,8 +106,10 @@ class SeededStrategy:
 
     The generator is a 64-bit LCG (a = 6364136223846793005,
     c = 1442695040888963407) restarted from ``seed`` at the beginning of
-    every reduction; each step draws twice, mu before rho.  ``seed`` is any
-    integer that ``operator.index`` accepts, numpy integers included.
+    every reduction; each step draws twice, mu before rho.  ``seed`` is an
+    integer in 0..2^64-1 that ``operator.index`` accepts, numpy integers
+    included; the state keeps 64 bits, so any other seed would repeat one
+    of these and is refused.
     """
 
     seed: int
@@ -117,6 +119,8 @@ class SeededStrategy:
             seed = operator.index(self.seed)
         except TypeError:
             raise ValueError(f"seeded strategy needs an integer seed, got {self.seed!r}") from None
+        if not 0 <= seed < 2 ** 64:
+            raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
         object.__setattr__(self, "seed", seed)
 
 
@@ -181,7 +185,7 @@ class ReductionResult:
 def _lcg_draws(seed: int):
     """The endless stream of ``SeededStrategy`` draws from ``seed``."""
     mask = (1 << 64) - 1
-    state = seed & mask
+    state = seed
     while True:
         state = (6364136223846793005 * state + 1442695040888963407) & mask
         yield 0.5 + state / 2.0 ** 64
@@ -398,7 +402,7 @@ class _Driver:
             for t in self.transcript:
                 apply_right_adjoint(t, s)
             orth_loss = symplecticity_residual(s)
-            red_err = spectral_norm(self.A - adjoint_mat(s) @ self.a0 @ s)
+            red_err = spectral_norm(reduction_residual(self.a0, self.A, s))
         for metric in (orth_loss, red_err):
             if not math.isfinite(metric):
                 raise BreakdownError(n - 1, "even", "NonFinite", metric)

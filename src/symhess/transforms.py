@@ -426,6 +426,12 @@ def _planes(t: TransformGivens) -> tuple[slice, slice]:
     return slice(k, k + t.c.size), slice(t.n + k, t.n + k + t.c.size)
 
 
+# Elements per row block of a right Givens apply: the two products a
+# rotation holds stay this small however tall the matrix is (the S replay
+# rotates whole columns of S).
+_ROTATE_BLOCK = 8192
+
+
 def _rotate_in_place(c, s, x, y) -> None:
     """Overwrite x and y with the Givens pairs (c x + s y, -s x + c y),
     elementwise with broadcasting.
@@ -497,7 +503,9 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
         if t.is_identity:
             return
         up, lo = _planes(t)
-        _rotate_in_place(t.c, t.s, m[:, up], m[:, lo])
+        step = max(1, _ROTATE_BLOCK // t.c.size)  # rows per block
+        for r in range(0, m.shape[0], step):
+            _rotate_in_place(t.c, t.s, m[r:r + step, up], m[r:r + step, lo])
     elif isinstance(t, TransformVLH):
         n = _check_cols(t, m)
         if t.is_identity:

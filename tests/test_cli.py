@@ -231,6 +231,26 @@ class TestOutputPathsCheckedFirst:
                        "--algos", "jhmsh", "--out", "") == 3
         assert "No such file or directory: ''" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out-h", "--out-s"])
+    @pytest.mark.parametrize("name", ["new", "a.txt"])
+    def test_reduce_trailing_separator_exits_3(self, tmp_path, capsys, no_work, flag, name):
+        # open() cannot create "new/" or write "a.txt/"; abspath drops the slash
+        a_path = tmp_path / "a.txt"
+        write_matrix(a_path, gen_family1(3))
+        before = a_path.read_bytes()
+        target = str(tmp_path / name) + os.sep
+        assert run_cli("reduce", a_path, "--algo", "jhmsh", flag, target) == 3
+        assert "Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        assert a_path.read_bytes() == before
+
+    def test_experiment_trailing_separator_exits_3(self, tmp_path, capsys, no_work):
+        target = str(tmp_path / "new") + os.sep
+        assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 150,
+                       "--algos", "jhmsh", "--out", target) == 3
+        assert "Is a directory" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     def test_breakdown_leaves_outputs_alone(self, tmp_path, capsys):
         a_path, h_path, s_path = tmp_path / "a.txt", tmp_path / "h.txt", tmp_path / "s.txt"
         write_matrix(a_path, gen_family1(5))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,13 @@ from symhess import (
     adjoint_mat,
     j_inner,
     make_j,
+    reduce,
+    reduction_residual,
     spectral_norm,
     structure_report,
     symplecticity_residual,
 )
+from symhess.core import _BLOCK_ROWS
 
 
 class TestMakeJ:
@@ -125,6 +130,80 @@ class TestSymplecticityResidual:
             symplecticity_residual(np.zeros((3, 3)))
 
 
+def _exact_symplectic(n):
+    # J diag(D, D^-1) with D a diagonal of powers of two: symplectic, and
+    # every product with it is exact
+    d = 2.0 ** (np.arange(n) % 7 - 3)
+    return make_j(n) @ np.diag(np.concatenate((d, 1.0 / d)))
+
+
+class TestBlockedResiduals:
+    """Both metrics form S^J S and (S^J A) S ``_BLOCK_ROWS`` rows at a time."""
+
+    # multi-block sizes; a block straddles row n except at n = 72
+    SIZES = [17, 50, 65, 72]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_exact_on_an_exactly_symplectic_s(self, n):
+        # any misplaced or mis-signed row of S^J would leave a nonzero entry
+        s = _exact_symplectic(n)
+        a = np.random.default_rng([1700, n]).standard_normal((2 * n, 2 * n))
+        h = adjoint_mat(s) @ a @ s
+        assert 2 * n > _BLOCK_ROWS
+        assert symplecticity_residual(s) == 0.0
+        assert not np.any(reduction_residual(a, h, s))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_agree_with_the_dense_formula(self, n):
+        # The blocked and dense products sum the same terms; only the BLAS
+        # blocking of each sum can differ, by a few n eps of |S^J| |A| |S|.
+        a = np.random.default_rng([1700, n]).standard_normal((2 * n, 2 * n))
+        res = reduce(a, "jhmsh")
+        s, h = res.s, res.h
+        bound = 2 * n * np.finfo(float).eps * spectral_norm(s) ** 2
+        dense_orth = spectral_norm(adjoint_mat(s) @ s - np.eye(2 * n))
+        assert abs(symplecticity_residual(s) - dense_orth) <= bound
+        dense_red = h - adjoint_mat(s) @ a @ s
+        assert spectral_norm(reduction_residual(a, h, s) - dense_red) <= bound * spectral_norm(a)
+
+    def test_one_block_is_the_full_product(self):
+        n = _BLOCK_ROWS // 2
+        a = np.random.default_rng([1700, 0]).standard_normal((2 * n, 2 * n))
+        res = reduce(a, "jhmsh")
+        s, h = res.s, res.h
+        g = adjoint_mat(s) @ s
+        g[np.diag_indices_from(g)] -= 1.0
+        assert symplecticity_residual(s) == spectral_norm(g)
+        assert np.array_equal(reduction_residual(a, h, s), h - adjoint_mat(s) @ a @ s)
+
+    def test_metric_phase_holds_one_workspace(self):
+        # Both metrics together peak at one 2n-by-2n buffer plus a block of
+        # rows: the dense formula held two full-size temporaries.
+        n = 64
+        a = np.random.default_rng([1700, n]).standard_normal((2 * n, 2 * n))
+        res = reduce(a, "jhmsh")
+
+        def metrics():
+            return symplecticity_residual(res.s), spectral_norm(reduction_residual(a, res.h, res.s))
+
+        metrics()  # first-call allocations are not the metrics'
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert metrics() == (res.orth_loss, res.red_err)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * (2 * n) ** 2
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            reduction_residual(np.eye(4), np.eye(4), np.eye(6))
+        with pytest.raises(ValueError):
+            reduction_residual(np.eye(3), np.eye(3), np.eye(3))
+
+
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(4)) == pytest.approx(1.0, rel=1e-12)
@@ -162,6 +241,13 @@ class TestSpectralNorm:
     def test_non_finite_gives_nan(self, bad):
         m = np.eye(4)
         m[1, 2] = bad
+        assert np.isnan(spectral_norm(m))
+
+    @pytest.mark.parametrize("first, second", [(np.nan, np.inf), (np.inf, -np.inf),
+                                               (-np.inf, np.nan), (np.inf, 1e308)])
+    def test_mixed_non_finite_gives_nan(self, first, second):
+        m = np.random.default_rng(3).standard_normal((40, 40))
+        m[3, 30], m[35, 2] = first, second
         assert np.isnan(spectral_norm(m))
 
     def test_rejects_empty(self):

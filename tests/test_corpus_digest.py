@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -40,8 +41,27 @@ def test_digest_repeats_and_separates_cases(tool):
     first = [tool.digest(a, variant, opts) for _, a, variant, opts in small]
     again = [tool.digest(a, variant, opts) for _, a, variant, opts in small]
     assert first == again
-    assert {outcome for outcome, _ in first} <= {"ok", "breakdown"}
-    assert len({sha for _, sha in first}) > 1
+    assert {outcome for outcome, _ in first} == {"ok", "breakdown"}
+    for outcome, shas in first:
+        assert len(shas) == (3 if outcome == "ok" else 1)
+        assert all(len(sha) == 64 for sha in shas)
+    assert len({shas for _, shas in first}) > 1
+
+
+def test_ok_hashes_split_h_s_and_metrics(tool, monkeypatch):
+    # a change to one part of a result moves only that part's hash
+    _, a, variant, opts = next(tool.cases())
+    res = tool.reduce(a, variant, opts)
+    outcome, shas = tool.digest(a, variant, opts)
+    assert outcome == "ok"
+    for field, column in (("h", 0), ("transcript", 0), ("fallbacks_used", 0),
+                          ("s", 1), ("orth_loss", 2), ("red_err", 2)):
+        value = getattr(res, field)
+        changed = value + (value[:1] if isinstance(value, tuple) else 1.0)
+        moved = dataclasses.replace(res, **{field: changed})
+        monkeypatch.setattr(tool, "reduce", lambda *args, moved=moved: moved)
+        _, got = tool.digest(a, variant, opts)
+        assert [g != w for g, w in zip(got, shas)] == [i == column for i in range(3)], field
 
 
 def test_digest_sees_the_sign_of_zero(tool):

@@ -151,9 +151,19 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="seed"):
             SeededStrategy(bad)
 
+    @pytest.mark.parametrize("bad", [-1, 2 ** 64, np.int64(-1)])
+    def test_seeded_strategy_rejects_seed_outside_u64(self, bad):
+        # the state keeps 64 bits: 2^64 would run as seed 0, -1 as 2^64 - 1
+        with pytest.raises(ValueError, match="seed must be in 0..2\\^64-1"):
+            SeededStrategy(bad)
+
+    def test_seeded_strategy_accepts_the_u64_range(self):
+        assert SeededStrategy(0).seed == 0
+        assert SeededStrategy(np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
+
     def test_seeded_strategy_accepts_numpy_integers(self):
         a = np.random.default_rng(0).standard_normal((8, 8))
-        for seed in (np.int64(-5), np.uint64(7), np.int8(7)):
+        for seed in (np.int64(5), np.uint64(7), np.int8(7)):
             strategy = SeededStrategy(seed)
             assert type(strategy.seed) is int
             expect = reduce(a, "jhsh", ReductionOptions(strategy=SeededStrategy(int(seed))))

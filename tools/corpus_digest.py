@@ -2,11 +2,17 @@
 
 Prints one ``#`` header line with the numpy version, the BLAS build and
 the BLAS kernel in use, then one line per case: the case name, the
-outcome (``ok`` or ``breakdown``) and a sha256 over the exact bits of the
-result.  For a successful run the hash covers H, S, ``orth_loss`` and
-``red_err`` (as uint64 views, so the signs of zeros count),
-``fallbacks_used`` and every field of every transcript record.  For a
-``BreakdownError`` it covers the step, sub-step, kind and pivot value.
+outcome (``ok`` or ``breakdown``) and sha256 hashes over the exact bits of
+the result (arrays as uint64 views, so the signs of zeros count).  A
+successful run gets three hashes, so that a change can show which part of
+the result it moved:
+
+1. H, ``fallbacks_used`` and every field of every transcript record;
+2. S;
+3. ``orth_loss`` and ``red_err``.
+
+A ``BreakdownError`` gets one hash over the step, sub-step, kind and
+pivot value.
 
 The corpus: families 1 and 2 at n = 2..40; Gaussians
 ``default_rng([1500, s]).standard_normal((2n, 2n))`` for s < 20 and
@@ -21,14 +27,15 @@ one copy of it digests any checkout.  From the repository root:
     PYTHONPATH=/path/to/base/src python3 tools/corpus_digest.py > base.txt
     diff base.txt change.txt
 
-A change that keeps every result bit for bit prints no difference.  The
-digests hold for one BLAS kernel only (numpy's OpenBLAS picks its kernel
-for the CPU when it loads), so two outputs whose headers differ are not
-comparable.  A full run takes about 12 s on one core.  Run as a script,
-the tool pins BLAS to one thread before numpy loads: the blocking of a
-multi-threaded BLAS changes the roundings of the n=150 and n=200 cases,
-so without the pin the digests would depend on the caller's environment.
-Imported, it leaves the environment alone.
+A change that keeps every result bit for bit prints no difference; one
+that only rounds the metrics differently changes only the third hash of
+some lines.  The digests hold for one BLAS kernel only (numpy's OpenBLAS
+picks its kernel for the CPU when it loads), so two outputs whose headers
+differ are not comparable.  A full run takes about 12 s on one core.  Run
+as a script, the tool pins BLAS to one thread before numpy loads: the
+blocking of a multi-threaded BLAS changes the roundings of the n=150 and
+n=200 cases, so without the pin the digests would depend on the caller's
+environment.  Imported, it leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -109,16 +116,22 @@ def _feed(h, value) -> None:
         raise TypeError(f"cannot digest a {type(value).__name__}")
 
 
-def digest(a, variant: str, opts: ReductionOptions) -> tuple[str, str]:
-    """(outcome, sha256 hex digest) of one reduction."""
+def _sha(value) -> str:
     h = hashlib.sha256()
+    _feed(h, value)
+    return h.hexdigest()
+
+
+def digest(a, variant: str, opts: ReductionOptions) -> tuple[str, tuple[str, ...]]:
+    """(outcome, sha256 hex digests) of one reduction: three for a result
+    (H with the transcript and fallbacks, S, the metrics), one for a
+    breakdown."""
     try:
         res = reduce(a, variant, opts)
     except BreakdownError as exc:
-        _feed(h, (exc.step, exc.substep, exc.kind, exc.pivot_value))
-        return "breakdown", h.hexdigest()
-    _feed(h, (res.h, res.s, res.orth_loss, res.red_err, res.fallbacks_used, res.transcript))
-    return "ok", h.hexdigest()
+        return "breakdown", (_sha((exc.step, exc.substep, exc.kind, exc.pivot_value)),)
+    return "ok", (_sha((res.h, res.fallbacks_used, res.transcript)), _sha(res.s),
+                  _sha((res.orth_loss, res.red_err)))
 
 
 def blas_core() -> str:
@@ -150,8 +163,8 @@ def header() -> str:
 def main() -> None:
     print(header(), flush=True)
     for name, a, variant, opts in cases():
-        outcome, sha = digest(a, variant, opts)
-        print(name, outcome, sha, flush=True)
+        outcome, shas = digest(a, variant, opts)
+        print(name, outcome, *shas, flush=True)
 
 
 if __name__ == "__main__":
