@@ -363,6 +363,7 @@ class _Driver:
             self.fallbacks.append((j, f"{substep}_{case}"))
             if case == "degenerate":
                 return
+            self._check_finite(j, substep, col)  # a rescue can overflow it
         self.similarity(embed(t, row0 - 1, self.n))
 
     def _even_sh(self, j: int, rho: float | None) -> None:
@@ -380,6 +381,8 @@ class _Driver:
         if segment.size >= 2:
             # contiguous for the dot product's rounding, as in case B
             self.similarity(_vlh_from_segment(j + 1, segment.copy(), n))
+            # the reflector can overflow the column; vlg must not see it
+            self._check_finite(j, "even", col)
         self.similarity(vlg(j + 1, self.A[:, col - 1]))
         if j <= n - 2:
             self.similarity(vlh(j + 1, self.A[:, col - 1]))

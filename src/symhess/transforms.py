@@ -38,7 +38,6 @@ __all__ = [
     "Breakdown",
     "MappingBreakdown",
     "InvalidParam",
-    "FreeParams",
     "TransformSH",
     "TransformGivens",
     "TransformVLH",
@@ -80,25 +79,15 @@ class MappingBreakdown(Breakdown):
 
 
 class InvalidParam(ValueError):
-    """A free parameter violates its constraint (rho = 0 or mu = a(1))."""
-
-
-@dataclass(frozen=True)
-class FreeParams:
-    """Record of the free parameters a transform was built from."""
-
-    rho: float | None = None
-    mu: float | None = None
-    nu: float | None = None
-    xi: float | None = None
+    """A free parameter is not finite or violates its constraint (rho = 0 or mu = a(1))."""
 
 
 @dataclass(frozen=True, eq=False)
 class TransformSH:
     """T = I + c v v^J with direction v = [0^offset, u, 0^offset, w].
 
-    ``m`` is the half-dimension of the space the transform acts on; the
-    compact ``u``/``w`` pair (length m - offset each) stores only the
+    ``n`` is the half-dimension of the space the transform acts on; the
+    compact ``u``/``w`` pair (length n - offset each) stores only the
     support, so an embedded transform applies with exactly the arithmetic
     of its reduced-space original.  ``c == 0`` means the identity.
     """
@@ -107,22 +96,21 @@ class TransformSH:
     u: np.ndarray
     w: np.ndarray
     offset: int
-    m: int
-    params: FreeParams | None = None
+    n: int
 
     def __post_init__(self):
-        if not 0 <= self.offset < self.m:
-            raise ValueError("offset must lie in [0, m)")
-        span = self.m - self.offset
+        if not 0 <= self.offset < self.n:
+            raise ValueError("offset must lie in [0, n)")
+        span = self.n - self.offset
         if self.u.shape != (span,) or self.w.shape != (span,):
-            raise ValueError("u and w must both have length m - offset")
+            raise ValueError("u and w must both have length n - offset")
 
     @property
     def v(self) -> np.ndarray:
-        """The full direction vector of length 2m."""
-        full = np.zeros(2 * self.m)
-        full[self.offset:self.m] = self.u
-        full[self.m + self.offset:] = self.w
+        """The full direction vector of length 2n."""
+        full = np.zeros(2 * self.n)
+        full[self.offset:self.n] = self.u
+        full[self.n + self.offset:] = self.w
         return full
 
     @property
@@ -131,7 +119,7 @@ class TransformSH:
 
     def adjoint(self) -> "TransformSH":
         """T^J = I - c v v^J, itself a symplectic Householder transform."""
-        return TransformSH(-self.c, self.u, self.w, self.offset, self.m, self.params)
+        return TransformSH(-self.c, self.u, self.w, self.offset, self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +194,9 @@ def _as_vector(a) -> np.ndarray:
     return v
 
 
-def _identity_sh(m: int, params: FreeParams | None = None) -> TransformSH:
+def _identity_sh(m: int) -> TransformSH:
     z = np.zeros(m)
-    return TransformSH(0.0, z, z, 0, m, params)
+    return TransformSH(0.0, z, z, 0, m)
 
 
 def _sign(x: float) -> float:
@@ -238,7 +226,7 @@ def general_mapping(x, y, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
 
 
 def sh1(a, rho: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
-    """T with T a = rho e1; rho is a free nonzero scalar.
+    """T with T a = rho e1; rho is a free finite nonzero scalar.
 
     Returns the identity when a(1) == rho already.  Breaks down when the
     pairing pivot a(n+1) is negligible relative to ||a||.
@@ -249,27 +237,33 @@ def sh1(a, rho: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     m = av.size // 2
     aux = av[0] - rho
     nu = av[m]
-    params = FreeParams(rho=rho, nu=float(nu))
     if aux == 0.0:
-        return _identity_sh(m, params)
+        return _identity_sh(m)
     if abs(nu) <= tol * float(np.linalg.norm(av)):
         raise Breakdown("ZeroPivot", nu)
+    if not math.isfinite(rho):
+        # after the pivot test: when ||a|| overflows, osh1 passes rho = +-inf
+        # and the test reports a breakdown
+        raise InvalidParam(f"rho must be finite, got {rho!r}")
     v = av / aux
     v[0] = 1.0
     c = aux * aux / (rho * nu)
-    return TransformSH(float(c), v[:m], v[m:], 0, m, params)
+    return TransformSH(float(c), v[:m], v[m:], 0, m)
 
 
 def sh2(a, mu: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     """T with T e1 = e1 and T a = mu e1 + nu e_{n+1}, where nu = a(n+1).
 
-    mu is a free scalar different from a(1).  In the 2-dimensional space
-    (n == 1) there is nothing to eliminate and the identity is returned.
+    mu is a free finite scalar different from a(1).  In the 2-dimensional
+    space (n == 1) there is nothing to eliminate and the identity is
+    returned.
     """
     av = _as_vector(a)
+    if not math.isfinite(mu):
+        raise InvalidParam(f"mu must be finite, got {mu!r}")
     m = av.size // 2
     if m == 1:
-        return _identity_sh(m, FreeParams(mu=mu, nu=float(av[1])))
+        return _identity_sh(m)
     nu = av[m]
     if abs(nu) <= tol * float(np.linalg.norm(av)):
         raise Breakdown("ZeroNu", nu)
@@ -279,7 +273,7 @@ def sh2(a, mu: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     v[0] += mu
     v[m] += nu  # exactly zero: T keeps the (n+1)-th coordinate fixed
     c = -1.0 / (nu * (av[0] - mu))
-    return TransformSH(float(c), v[:m], v[m:], 0, m, FreeParams(mu=mu, nu=float(nu)))
+    return TransformSH(float(c), v[:m], v[m:], 0, m)
 
 
 def osh1(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
@@ -290,7 +284,7 @@ def osh1(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     av = _as_vector(a)
     rho = _sign(float(av[0])) * float(np.linalg.norm(av))
     if rho == 0.0:
-        return _identity_sh(av.size // 2, FreeParams(rho=0.0, nu=0.0))
+        return _identity_sh(av.size // 2)
     return sh1(av, rho, tol)
 
 
@@ -303,26 +297,33 @@ def osh2(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     av = _as_vector(a)
     m = av.size // 2
     if m == 1:
-        return _identity_sh(m, FreeParams(mu=float(av[0]), nu=float(av[1]), xi=0.0))
+        return _identity_sh(m)
     tail = np.concatenate((av[1:m], av[m + 1:]))
     xi = float(np.linalg.norm(tail))
     nu = av[m]
     if xi == 0.0:
-        return _identity_sh(m, FreeParams(mu=float(av[0]), nu=float(nu), xi=0.0))
+        return _identity_sh(m)
     if abs(nu) <= tol * float(np.linalg.norm(av)):
         raise Breakdown("ZeroNu", nu)
     v = -av / xi
     v[0] = 1.0
     v[m] = 0.0
     c = xi / nu
-    return TransformSH(float(c), v[:m], v[m:], 0, m,
-                       FreeParams(mu=float(av[0] + xi), nu=float(nu), xi=xi))
+    return TransformSH(float(c), v[:m], v[m:], 0, m)
 
 
 def _rotations(k0: int, f: np.ndarray, g: np.ndarray, n: int) -> TransformGivens:
     """Rotations in the planes (k, n+k), k = k0..k0+f.size-1, taking each
     pair (f, g) to (hypot(f, g), 0); the identity (c=1, s=0) where both
-    entries vanish."""
+    entries vanish.
+
+    c and s are built from the pair scaled by the power of two that brings
+    its larger entry into [0.5, 1).  The scaling is exact, so c and s do
+    not change on normal pairs, but a subnormal pair keeps every bit of
+    its ratio: the hypot of the unscaled pair keeps only a few bits.
+    """
+    _, e = np.frexp(np.maximum(np.abs(f), np.abs(g)))
+    f, g = np.ldexp(f, -e), np.ldexp(g, -e)
     r = np.hypot(f, g)
     nonzero = r != 0.0
     c = np.divide(f, r, out=np.ones(f.size), where=nonzero)
@@ -395,29 +396,20 @@ def embed(t: TransformSH, offset: int, n: int) -> TransformSH:
     the identity."""
     if not isinstance(t, TransformSH):
         raise TypeError("only symplectic Householder transforms can be embedded")
-    if offset < 0 or t.m + offset != n:
-        raise ValueError(f"size mismatch: transform acts on 2*{t.m}, "
+    if offset < 0 or t.n + offset != n:
+        raise ValueError(f"size mismatch: transform acts on 2*{t.n}, "
                          f"target 2*{n} with offset {offset}")
-    return TransformSH(t.c, t.u, t.w, t.offset + offset, n, t.params)
+    return TransformSH(t.c, t.u, t.w, t.offset + offset, n)
 
 
-def _half_of(t: SymplecticTransform) -> int:
-    return t.m if isinstance(t, TransformSH) else t.n
-
-
-def _check_rows(t: SymplecticTransform, m: np.ndarray) -> int:
-    n = _half_of(t)
-    if m.shape[0] != 2 * n:
-        raise ValueError(f"transform acts on 2*{n} rows, matrix has {m.shape[0]}")
-    return n
-
-
-def _check_cols(t: SymplecticTransform, m: np.ndarray) -> int:
-    n = _half_of(t)
-    cols = m.shape[1]
-    if cols != 2 * n:
-        raise ValueError(f"transform acts on 2*{n} columns, matrix has {cols}")
-    return n
+def _half(t: SymplecticTransform, size: int | None = None, axis: str = "") -> int:
+    """The half-dimension n of a transform record, checked to be 2n = ``size``
+    (the number of rows or columns it is applied to) when one is given."""
+    if not isinstance(t, SymplecticTransform):
+        raise TypeError(f"not a symplectic transform: {type(t).__name__}")
+    if size is not None and size != 2 * t.n:
+        raise ValueError(f"transform acts on 2*{t.n} {axis}, matrix has {size}")
+    return t.n
 
 
 def _planes(t: TransformGivens) -> tuple[slice, slice]:
@@ -450,10 +442,10 @@ def _rotate_in_place(c, s, x, y) -> None:
 
 def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
     """In-place M <- T M.  Accepts a 2n-vector or a 2n-by-k matrix."""
+    n = _half(t, m.shape[0], "rows")
+    if t.is_identity:
+        return
     if isinstance(t, TransformSH):
-        n = _check_rows(t, m)
-        if t.is_identity:
-            return
         up = slice(t.offset, n)
         lo = slice(n + t.offset, 2 * n)
         if m.ndim == 1:
@@ -465,33 +457,25 @@ def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
             m[up, :] += t.c * (t.u[:, None] * row)
             m[lo, :] += t.c * (t.w[:, None] * row)
     elif isinstance(t, TransformGivens):
-        _check_rows(t, m)
-        if t.is_identity:
-            return
         up, lo = _planes(t)
         c, s = (t.c, t.s) if m.ndim == 1 else (t.c[:, None], t.s[:, None])
         _rotate_in_place(c, s, m[up], m[lo])
-    elif isinstance(t, TransformVLH):
-        n = _check_rows(t, m)
-        if t.is_identity:
-            return
+    else:
         for block in (slice(t.k - 1, n), slice(n + t.k - 1, 2 * n)):
             if m.ndim == 1:
                 m[block] -= (t.beta * (t.w @ m[block])) * t.w
             else:
                 m[block, :] -= t.beta * (t.w[:, None] * (t.w @ m[block, :]))
-    else:
-        raise TypeError(f"not a symplectic transform: {type(t).__name__}")
 
 
 def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
     """In-place M <- M T^J.  For the orthogonal kinds T^J = T^T."""
     if m.ndim != 2:
         raise ValueError("right application expects a 2-D matrix")
+    n = _half(t, m.shape[1], "columns")
+    if t.is_identity:
+        return
     if isinstance(t, TransformSH):
-        n = _check_cols(t, m)
-        if t.is_identity:
-            return
         # M T^J = M - c (M v) (v^T J), and v^T J = [-w, u] on the support.
         up = slice(t.offset, n)
         lo = slice(n + t.offset, 2 * n)
@@ -499,44 +483,34 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
         m[:, up] += t.c * (mv[:, None] * t.w)
         m[:, lo] -= t.c * (mv[:, None] * t.u)
     elif isinstance(t, TransformGivens):
-        _check_cols(t, m)
-        if t.is_identity:
-            return
         up, lo = _planes(t)
         step = max(1, _ROTATE_BLOCK // t.c.size)  # rows per block
         for r in range(0, m.shape[0], step):
             _rotate_in_place(t.c, t.s, m[r:r + step, up], m[r:r + step, lo])
-    elif isinstance(t, TransformVLH):
-        n = _check_cols(t, m)
-        if t.is_identity:
-            return
+    else:
         for block in (slice(t.k - 1, n), slice(n + t.k - 1, 2 * n)):
             m[:, block] -= t.beta * ((m[:, block] @ t.w)[:, None] * t.w)
-    else:
-        raise TypeError(f"not a symplectic transform: {type(t).__name__}")
 
 
 def densify(t: SymplecticTransform) -> np.ndarray:
     """Explicit 2n-by-2n matrix of a transform (diagnostics and tests)."""
-    n = _half_of(t)
+    n = _half(t)
     out = np.eye(2 * n)
+    if t.is_identity:
+        return out
     if isinstance(t, TransformSH):
-        if not t.is_identity:
-            v = t.v
-            vj = np.concatenate((-v[n:], v[:n]))  # row vector v^T J
-            out += t.c * np.outer(v, vj)
+        v = t.v
+        vj = np.concatenate((-v[n:], v[:n]))  # row vector v^T J
+        out += t.c * np.outer(v, vj)
     elif isinstance(t, TransformGivens):
         i = np.arange(t.k0 - 1, t.k0 - 1 + t.c.size)
         out[i, i] = out[i + n, i + n] = t.c
         out[i, i + n] = t.s
         out[i + n, i] = -t.s
-    elif isinstance(t, TransformVLH):
-        if not t.is_identity:
-            p = np.eye(t.w.size) - t.beta * np.outer(t.w, t.w)
-            out[t.k - 1:n, t.k - 1:n] = p
-            out[n + t.k - 1:, n + t.k - 1:] = p
     else:
-        raise TypeError(f"not a symplectic transform: {type(t).__name__}")
+        p = np.eye(t.w.size) - t.beta * np.outer(t.w, t.w)
+        out[t.k - 1:n, t.k - 1:n] = p
+        out[n + t.k - 1:, n + t.k - 1:] = p
     return out
 
 
@@ -550,9 +524,8 @@ def cond2(t: SymplecticTransform) -> float:
     x = c ||v||^2, and ||T||_2 = ||T^J||_2 = (|x| + sqrt(x^2 + 4)) / 2.
     This form does not cancel near the identity.
     """
-    if isinstance(t, TransformSH):
-        x = t.c * float(t.u @ t.u + t.w @ t.w)
-        return ((abs(x) + math.sqrt(x * x + 4.0)) / 2.0) ** 2
-    if isinstance(t, (TransformGivens, TransformVLH)):
+    _half(t)  # refuses what is not a transform
+    if not isinstance(t, TransformSH):
         return 1.0
-    raise TypeError(f"not a symplectic transform: {type(t).__name__}")
+    x = t.c * float(t.u @ t.u + t.w @ t.w)
+    return ((abs(x) + math.sqrt(x * x + 4.0)) / 2.0) ** 2

@@ -93,7 +93,8 @@ def test_criterion_1_transform_postconditions():
             t = osh2(a)
             out = _mapped(t, a)
             target = np.zeros(2 * m)
-            target[0], target[m] = t.params.mu, a[m]
+            target[0] = a[0] + np.linalg.norm(np.r_[a[1:m], a[m + 1:]])  # mu
+            target[m] = a[m]
             assert np.linalg.norm(out - target) <= 1e-12 * na
 
             x = _admissible(rng, m)

@@ -23,3 +23,9 @@ def test_readme_library_use_runs(capsys):
     verdict, orth_loss, red_err = capsys.readouterr().out.split()
     assert verdict == "True"
     assert float(orth_loss) < 1e-8 and float(red_err) < 1e-8
+
+
+def test_no_module_exports_a_name_twice():
+    # the package's __all__ is the union of the modules' lists; a name in
+    # two lists would be shadowed by the later star import
+    assert len(set(symhess.__all__)) == len(symhess.__all__)

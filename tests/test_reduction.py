@@ -392,6 +392,21 @@ class TestContract:
         assert (exc.value.step, exc.value.substep, exc.value.kind) == (23, "even", "NonFinite")
         assert not math.isfinite(exc.value.pivot_value)
 
+    @pytest.mark.parametrize("scale, family, variant", [
+        (1e140, False, "jhmsh2"),  # the lower-segment reflector overflows
+        (1e-310, False, "jhmsh"),  # subnormal pairs in the Givens sweep
+        (1e-310, True, "jhmsh"),
+    ])
+    def test_scaled_input_keeps_the_contract(self, scale, family, variant):
+        # finite H and S, or BreakdownError; these used to raise ValueError
+        # from a Givens record built on a non-finite or subnormal pair
+        a = gen_family1(5) if family else np.random.default_rng([7, 0]).standard_normal((8, 8))
+        try:
+            res = reduce(a * scale, variant)
+        except BreakdownError:
+            return
+        assert np.isfinite(res.h).all() and np.isfinite(res.s).all()
+
     def test_non_finite_metric_raises(self, monkeypatch):
         monkeypatch.setattr(reduction, "symplecticity_residual", lambda s: float("nan"))
         with pytest.raises(BreakdownError) as exc:

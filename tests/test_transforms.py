@@ -63,6 +63,12 @@ class TestSh1:
         with pytest.raises(InvalidParam):
             sh1(np.array([1.0, 0.0, 1.0, 0.0]), 0.0)
 
+    @pytest.mark.parametrize("rho", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_rho(self, rho):
+        # inf used to give c = nan with a RuntimeWarning, nan a NaN record
+        with pytest.raises(InvalidParam):
+            sh1(np.array([1.0, 2.0, 3.0, 4.0]), rho)
+
 
 class TestSh2:
     def test_frozen_example(self):
@@ -86,6 +92,12 @@ class TestSh2:
         with pytest.raises(InvalidParam):
             sh2(np.array([3.0, 1.0, 4.0, 2.0]), 3.0)
 
+    @pytest.mark.parametrize("mu", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_mu(self, mu):
+        # inf used to give an identity record that does not map a
+        with pytest.raises(InvalidParam):
+            sh2(np.array([1.0, 2.0, 3.0, 4.0]), mu)
+
     def test_direction_pairing_entry_is_exactly_zero(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -99,7 +111,8 @@ class TestOsh1:
     def test_frozen_example(self):
         a = np.array([3.0, 0.0, 4.0, 0.0])
         t = osh1(a)
-        assert t.params.rho == 5.0
+        # the target is sign(a(1)) ||a||_2 e1
+        assert np.array_equal(mapped(t, a), [np.linalg.norm(a), 0.0, 0.0, 0.0])
         assert t.c == 0.2
         assert np.array_equal(t.v, [1.0, 0.0, -2.0, 0.0])
 
@@ -111,11 +124,18 @@ class TestOsh1:
     def test_negative_leading_entry(self):
         a = np.array([-3.0, 0.0, 4.0, 0.0])
         t = osh1(a)
-        assert t.params.rho == -5.0
+        assert np.array_equal(mapped(t, a), [-np.linalg.norm(a), 0.0, 0.0, 0.0])
         assert np.allclose(mapped(t, a), [-5.0, 0.0, 0.0, 0.0], atol=1e-13)
 
     def test_zero_vector_gives_identity(self):
         assert osh1(np.zeros(4)).is_identity
+
+    def test_overflowing_norm_breaks_down(self):
+        # rho = ||a|| = inf: the pivot test reports it before sh1 refuses
+        # rho; overflow warnings are off, as in the reduction driver
+        with np.errstate(over="ignore"), pytest.raises(Breakdown) as exc:
+            osh1(np.array([1e200, 1.0, 1e200, 1.0]))
+        assert exc.value.kind == "ZeroPivot"
 
 
 class TestOsh2:
@@ -123,7 +143,8 @@ class TestOsh2:
         a = np.array([3.0, 1.0, 4.0, 2.0])
         t = osh2(a)
         xi = np.sqrt(5.0)
-        assert t.params.xi == pytest.approx(xi, rel=1e-15)
+        # mu = a(1) + xi, xi the norm of a over {2..n, n+2..2n}
+        assert mapped(t, a)[0] == pytest.approx(3.0 + xi, rel=1e-15)
         assert t.c == pytest.approx(xi / 4.0, rel=1e-15)
         assert np.allclose(t.v, [1.0, -1.0 / xi, 0.0, -2.0 / xi], rtol=1e-15)
         assert np.allclose(mapped(t, a), [3.0 + xi, 0.0, 4.0, 0.0], atol=1e-13)
@@ -175,6 +196,17 @@ class TestVlg:
 
     def test_zero_pair_gives_identity(self):
         assert vlg(1, np.zeros(4)).is_identity
+
+    def test_subnormal_pair_keeps_full_precision(self):
+        # the rotation of a subnormal pair is that of the pair scaled into
+        # the normal range, bit for bit; the hypot of the pair itself keeps
+        # only a few bits
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            x, y = np.ldexp(rng.standard_normal(2), -1060)
+            tiny = vlg(1, [x, 0.0, y, 0.0])
+            normal = vlg(1, np.ldexp([x, 0.0, y, 0.0], 1060))
+            assert np.array_equal(tiny.c, normal.c) and np.array_equal(tiny.s, normal.s)
 
     def test_already_eliminated(self):
         a = np.array([1.0, 0.0, 0.0, 0.0])
@@ -419,7 +451,8 @@ class TestPostconditionProperties:
             t = osh2(a)
             out = mapped(t, a)
             target = np.zeros(2 * m)
-            target[0], target[m] = t.params.mu, a[m]
+            target[0] = a[0] + np.linalg.norm(np.r_[a[1:m], a[m + 1:]])  # mu
+            target[m] = a[m]
             assert np.linalg.norm(out - target) <= 1e-12 * na
 
     def test_isometry_condition(self):
@@ -587,6 +620,12 @@ class TestApply:
             apply_left(t, np.zeros((6, 6)))
         with pytest.raises(ValueError):
             apply_right_adjoint(t, np.zeros((4, 6)))
+
+    def test_rejects_what_is_not_a_transform(self):
+        for op in (lambda t: apply_left(t, np.zeros(4)),
+                   lambda t: apply_right_adjoint(t, np.zeros((4, 4))), densify, cond2):
+            with pytest.raises(TypeError):
+                op(np.eye(4))
 
 
 class TestDensify:
