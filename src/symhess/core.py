@@ -23,9 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "make_j",
-    "j_inner",
-    "adjoint_mat",
     "symplecticity_residual",
     "reduction_residual",
     "spectral_norm",
@@ -53,48 +50,13 @@ def _square_half(m: np.ndarray) -> int:
     return _even_half(m.shape[0], "matrix")
 
 
-def make_j(n: int) -> np.ndarray:
-    """The 2n-by-2n matrix with +I in the (1,2) block and -I in the (2,1) block."""
-    if n < 1:
-        raise ValueError("half-dimension n must be >= 1")
-    j = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    j[idx, n + idx] = 1.0
-    j[n + idx, idx] = -1.0
-    return j
-
-
-def j_inner(x, y) -> float:
-    """Skew product x^T J y = sum_i x(i) y(n+i) - x(n+i) y(i), without forming J."""
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.ndim != 1 or yv.ndim != 1 or xv.size != yv.size:
-        raise ValueError("x and y must be 1-D vectors of the same length")
-    n = _even_half(xv.size, "vector")
-    return float(xv[:n] @ yv[n:] - xv[n:] @ yv[:n])
-
-
-def adjoint_mat(m) -> np.ndarray:
-    """Symplectic adjoint of a 2n-by-2k matrix.
-
-    Computed by exact block moves and sign flips, so the result carries no
-    rounding error: for M = [[A, B], [C, D]] the adjoint is
-    [[D^T, -B^T], [-C^T, A^T]].
-    """
-    a = _as_matrix(m)
-    _even_half(a.shape[0], "row count")
-    k = _even_half(a.shape[1], "column count")
-    out = np.empty((2 * k, a.shape[0]))
-    _adjoint_rows(a, 0, out)
-    return out
-
-
 def _adjoint_rows(m: np.ndarray, r0: int, out: np.ndarray) -> None:
-    """Write rows r0 .. r0 + len(out) - 1 of ``adjoint_mat(m)`` into the
-    C-contiguous ``out``.
+    """Write rows r0 .. r0 + len(out) - 1 of the symplectic adjoint of ``m``
+    into the C-contiguous ``out``, by exact block moves and sign flips.
 
-    Row r < k of the adjoint is [m(n:, k+r), -m(:n, k+r)] and row r >= k is
-    [-m(n:, r-k), m(:n, r-k)], for m of size 2n-by-2k.  The halves to
+    For m = [[A, B], [C, D]] of size 2n-by-2k the adjoint is
+    [[D^T, -B^T], [-C^T, A^T]]: row r < k is [m(n:, k+r), -m(:n, k+r)] and
+    row r >= k is [-m(n:, r-k), m(:n, r-k)].  The halves to
     negate are copied first and flipped by one pass over all of ``out``,
     before the other halves are copied: a ufunc on a strided half would
     allocate iteration buffers.

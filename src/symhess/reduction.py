@@ -28,13 +28,15 @@ after each: when the lower segment of the active column carries mass, a
 reflector concentrates it onto the pivot row (case B); when it does not, a
 short chain of orthogonal transforms moves upper-block mass onto the pivot
 row (case A), followed if needed by one rotation moving the diagonal entry
-down.  A zero active column needs no elimination and the sub-step is
-skipped.  An odd sub-step is rescued only at j = 1 or when H12(j, j-1) = 0:
-otherwise any symplectic transform keeping column n+j-1 in form maps e_j to
-a multiple of itself, so the pivot stays zero, and a rescue would only
-break the form.  A breakdown no rescue clears raises ``BreakdownError``, and
-so does a non-finite working column or metric (kind ``NonFinite``): a run
-never returns NaN or infinity as a result.
+down.  The chain is applied to the working matrix member by member, like
+every other transform; its first two members are both built from the
+column as it stands.  A zero active column needs no elimination and the
+sub-step is skipped.  An odd sub-step is rescued only at j = 1 or when
+H12(j, j-1) = 0: otherwise any symplectic transform keeping column n+j-1 in
+form maps e_j to a multiple of itself, so the pivot stays zero, and a
+rescue would only break the form.  A breakdown no rescue clears raises
+``BreakdownError``, and so does a non-finite working column or metric
+(kind ``NonFinite``): a run never returns NaN or infinity as a result.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ class BreakdownError(Exception):
         self.pivot_value = float(pivot_value)
         super().__init__(
             f"breakdown at step {step} ({substep} sub-step): "
-            f"{kind}, pivot value {pivot_value!r}")
+            f"{kind}, pivot value {self.pivot_value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,11 +303,13 @@ class _Driver:
         * ``case_b``: a lower-segment entry beyond the pivot exceeds
           ``pivot_tol`` times the scale; one reflector concentrates the
           lower segment onto the pivot row.
-        * ``case_a``: the mass sits in the upper block.  A chain moves it
-          onto the pivot row: concentrate rows row0+1..n into row row0+1,
-          rotate that entry into row n+row0+1, then concentrate the lower
-          segment onto the pivot row.  Then ``case_a_rotation``: one more
-          rotation moves the diagonal entry down.
+        * ``case_a``: the mass sits in the upper block.  A chain of
+          similarities moves it onto the pivot row: concentrate rows
+          row0+1..n into row row0+1, rotate that entry into row n+row0+1
+          (both built from the column before either is applied), then
+          concentrate the lower segment onto the pivot row.  Then
+          ``case_a_rotation``: one more rotation moves the diagonal entry
+          down.
         """
         n = self.n
         if not self.opts.breakdown_fallback:
@@ -325,18 +329,17 @@ class _Driver:
             self.similarity(_vlh_from_segment(row0, column[n + row0 - 1:].copy(), n))
             yield "case_b"
         else:
-            # The chain is built on a scratch copy before any of it touches
-            # A.  Its first two members are both built from the column as it
-            # stands, neither from what the other leaves; they never touch
-            # row row0, so earlier columns keep their form.  The last member
-            # is built from the scratch column after both are applied.
-            scratch = column.copy()
-            chain = [vlh(row0 + 1, scratch), _vlg_lowering(row0 + 1, scratch)] if row0 < n else []
-            for t in chain:
-                apply_left(t, scratch)
-            chain.append(_vlh_from_segment(row0, scratch[n + row0 - 1:], n))
-            for t in chain:
-                self.similarity(t)
+            # The chain is applied to A member by member.  Its first two
+            # members are both built from the column as it stands, neither
+            # from what the other leaves; they never touch row row0, so
+            # earlier columns keep their form.  The last member is built
+            # from the column after both are applied, from a copy as in
+            # case B.
+            if row0 < n:
+                reflector, rotation = vlh(row0 + 1, column), _vlg_lowering(row0 + 1, column)
+                self.similarity(reflector)
+                self.similarity(rotation)
+            self.similarity(_vlh_from_segment(row0, column[n + row0 - 1:].copy(), n))
             yield "case_a"
             self.similarity(_vlg_lowering(row0, column))
             yield "case_a_rotation"

@@ -31,18 +31,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import j_inner
-
 __all__ = [
     "DEFAULT_BREAKDOWN_TOL",
     "Breakdown",
-    "MappingBreakdown",
     "InvalidParam",
     "TransformSH",
     "TransformGivens",
     "TransformVLH",
     "SymplecticTransform",
-    "general_mapping",
     "sh1",
     "sh2",
     "osh1",
@@ -64,18 +60,10 @@ DEFAULT_BREAKDOWN_TOL = 2.0 ** -26
 class Breakdown(Exception):
     """A pivot required by a transform constructor is numerically zero."""
 
-    def __init__(self, kind: str, pivot_value: float, message: str | None = None):
+    def __init__(self, kind: str, pivot_value: float):
         self.kind = kind
         self.pivot_value = float(pivot_value)
-        super().__init__(message or f"division by zero: pivot {pivot_value!r} ({kind})")
-
-
-class MappingBreakdown(Breakdown):
-    """No symplectic Householder maps x to y: x != y and x^J y ~ 0."""
-
-    def __init__(self, pivot_value: float):
-        super().__init__("ZeroPivot", pivot_value,
-                         f"x^J y = {pivot_value!r} is numerically zero; no mapping exists")
+        super().__init__(f"division by zero: pivot {self.pivot_value!r} ({kind})")
 
 
 class InvalidParam(ValueError):
@@ -202,27 +190,6 @@ def _identity_sh(m: int) -> TransformSH:
 def _sign(x: float) -> float:
     # sign(0) := 1, the usual Householder convention
     return 1.0 if x >= 0.0 else -1.0
-
-
-def general_mapping(x, y, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
-    """Symplectic Householder T with T x = y.
-
-    Exists when x == y (identity) or x^J y != 0, in which case
-    T = I - (1/x^J y) (y - x)(y - x)^J.
-    """
-    xv = _as_vector(x)
-    yv = _as_vector(y)
-    if xv.size != yv.size:
-        raise ValueError("x and y must have the same length")
-    m = xv.size // 2
-    if np.array_equal(xv, yv):
-        return _identity_sh(m)
-    pivot = j_inner(xv, yv)
-    scale = float(np.linalg.norm(xv) * np.linalg.norm(yv))
-    if abs(pivot) <= tol * scale:
-        raise MappingBreakdown(pivot)
-    d = yv - xv
-    return TransformSH(-1.0 / pivot, d[:m], d[m:], 0, m)
 
 
 def sh1(a, rho: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
@@ -441,31 +408,25 @@ def _rotate_in_place(c, s, x, y) -> None:
 
 
 def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
-    """In-place M <- T M.  Accepts a 2n-vector or a 2n-by-k matrix."""
+    """In-place M <- T M for a 2n-by-k matrix.  A 2n-vector is updated as a
+    one-column matrix, with the same arithmetic."""
     n = _half(t, m.shape[0], "rows")
     if t.is_identity:
         return
+    if m.ndim == 1:
+        m = m[:, None]  # a view: the updates below write through to the vector
     if isinstance(t, TransformSH):
         up = slice(t.offset, n)
         lo = slice(n + t.offset, 2 * n)
-        if m.ndim == 1:
-            coef = t.c * (t.u @ m[lo] - t.w @ m[up])  # c * v^J x
-            m[up] += coef * t.u
-            m[lo] += coef * t.w
-        else:
-            row = t.u @ m[lo, :] - t.w @ m[up, :]  # v^J M on the support
-            m[up, :] += t.c * (t.u[:, None] * row)
-            m[lo, :] += t.c * (t.w[:, None] * row)
+        row = t.u @ m[lo, :] - t.w @ m[up, :]  # v^J M on the support
+        m[up, :] += t.c * (t.u[:, None] * row)
+        m[lo, :] += t.c * (t.w[:, None] * row)
     elif isinstance(t, TransformGivens):
         up, lo = _planes(t)
-        c, s = (t.c, t.s) if m.ndim == 1 else (t.c[:, None], t.s[:, None])
-        _rotate_in_place(c, s, m[up], m[lo])
+        _rotate_in_place(t.c[:, None], t.s[:, None], m[up], m[lo])
     else:
         for block in (slice(t.k - 1, n), slice(n + t.k - 1, 2 * n)):
-            if m.ndim == 1:
-                m[block] -= (t.beta * (t.w @ m[block])) * t.w
-            else:
-                m[block, :] -= t.beta * (t.w[:, None] * (t.w @ m[block, :]))
+            m[block, :] -= t.beta * (t.w[:, None] * (t.w @ m[block, :]))
 
 
 def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from symhess import (
-    adjoint_mat,
-    j_inner,
-    make_j,
     reduce,
     reduction_residual,
     spectral_norm,
@@ -14,6 +11,8 @@ from symhess import (
     symplecticity_residual,
 )
 from symhess.core import _BLOCK_ROWS
+
+from oracles import adjoint_mat, j_inner, make_j
 
 
 class TestMakeJ:

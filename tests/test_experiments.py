@@ -12,10 +12,11 @@ from symhess import (
     emit_table,
     gen_family1,
     gen_family2,
-    make_j,
     reduce,
     run_sweep,
 )
+
+from oracles import make_j
 
 SEEDED = ReductionOptions(strategy=SeededStrategy(7))
 

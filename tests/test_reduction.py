@@ -9,6 +9,7 @@ import pytest
 
 import symhess.reduction as reduction
 from symhess import (
+    Breakdown,
     BreakdownError,
     FixedStrategy,
     OptimalStrategy,
@@ -17,18 +18,22 @@ from symhess import (
     TransformGivens,
     TransformSH,
     TransformVLH,
-    adjoint_mat,
     apply_left,
     apply_right_adjoint,
     densify,
     gen_family1,
     gen_family2,
     reduce,
+    sh2,
     spectral_norm,
     structure_report,
     symplecticity_residual,
+    vlh,
 )
 from symhess.reduction import _Driver
+from symhess.transforms import _vlh_from_segment
+
+from oracles import adjoint_mat
 
 VARIANTS = ("jhsh", "jhosh", "jhmsh", "jhmsh2")
 
@@ -350,6 +355,15 @@ class TestBreakdowns:
             assert "step 1" in str(exc)
         else:
             pytest.fail("expected a breakdown")
+        # the messages show the stored float, not a numpy repr
+        a = np.random.default_rng([7, 0]).standard_normal((8, 8)) * 1e140
+        with pytest.raises(BreakdownError) as exc:
+            reduce(a, "jhmsh2")
+        assert exc.value.kind == "NonFinite"
+        assert "np.float64" not in str(exc.value)
+        with pytest.raises(Breakdown) as exc:
+            sh2(np.array([1.0, 2.0, 0.0, 1.0]), 0.5)
+        assert "np.float64" not in str(exc.value)
 
 
 class TestContract:
@@ -489,6 +503,25 @@ class TestFallback:
             apply_left(t, w)
             apply_right_adjoint(t, w)
         assert abs(w[n, 0]) > 0.1 * np.linalg.norm(w[:, 0])  # pivot restored
+
+    def test_case_a_records_are_built_in_the_documented_order(self):
+        # on a non-integer input, where the order of the arithmetic shows in
+        # the bits: the reflector and the rotation are both built from the
+        # column before the rescue, the lower-segment reflector from the
+        # column after both are applied as similarities
+        n = 4
+        a = np.random.default_rng([99, 2]).standard_normal((2 * n, 2 * n))
+        a[n:, 0] = 0.0
+        res = reduce(a, "jhmsh")
+        assert res.fallbacks_used[0] == (1, "odd_case_a")
+        w = a.copy()
+        c0 = w[:, 0]
+        chain = [vlh(2, c0), reduction._vlg_lowering(2, c0)]
+        for t in chain:
+            apply_left(t, w)
+            apply_right_adjoint(t, w)
+        chain.append(_vlh_from_segment(1, w[n:, 0].copy(), n))
+        assert list(map(_transform_key, res.transcript[:3])) == list(map(_transform_key, chain))
 
     def test_even_substep_fallback(self):
         # column 1 already reduced (odd step is the identity) while the even

@@ -4,17 +4,13 @@ import pytest
 from symhess import (
     Breakdown,
     InvalidParam,
-    MappingBreakdown,
     TransformGivens,
     TransformSH,
-    adjoint_mat,
     apply_left,
     apply_right_adjoint,
     cond2,
     densify,
     embed,
-    general_mapping,
-    j_inner,
     osh1,
     osh2,
     sh1,
@@ -25,6 +21,8 @@ from symhess import (
     vlg_sweep,
     vlh,
 )
+
+from oracles import adjoint_mat, j_inner
 
 
 def mapped(t, a):
@@ -160,28 +158,6 @@ class TestOsh2:
 
     def test_n1_identity(self):
         assert osh2(np.array([2.0, 5.0])).is_identity
-
-
-class TestGeneralMapping:
-    def test_equal_vectors_give_identity(self):
-        x = np.array([1.0, 0.0, 0.0, 0.0])
-        assert general_mapping(x, x).is_identity
-
-    def test_frozen_example(self):
-        x = np.array([3.0, 0.0, 4.0, 0.0])
-        y = np.array([5.0, 0.0, 0.0, 0.0])
-        t = general_mapping(x, y)
-        assert np.allclose(mapped(t, x), y, atol=1e-13)
-
-    def test_n1_basis_mapping(self):
-        t = general_mapping(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert np.allclose(mapped(t, [1.0, 0.0]), [0.0, 1.0], atol=1e-14)
-
-    def test_breakdown_when_pairing_vanishes(self):
-        x = np.array([1.0, 0.0, 0.0, 0.0])
-        y = np.array([0.0, 1.0, 0.0, 0.0])  # x^J y = 0, x != y
-        with pytest.raises(MappingBreakdown):
-            general_mapping(x, y)
 
 
 class TestVlg:
@@ -344,6 +320,14 @@ class TestGivensSkipRule:
         vec = m[:, 0].copy()
         apply_left(t, vec)
         assert np.array_equal(vec, out[:, 0])
+        # every kind updates a vector with the arithmetic of a matrix column
+        for other in (osh2(random_pivoted(rng, n)), vlh(2, rng.standard_normal(2 * n))):
+            assert not other.is_identity
+            whole = m.copy()
+            apply_left(other, whole)
+            vec = m[:, 0].copy()
+            apply_left(other, vec)
+            assert np.array_equal(vec, whole[:, 0])
         out = m.copy()
         apply_right_adjoint(t, out)
         assert np.array_equal(out[:, kept], m[:, kept])
