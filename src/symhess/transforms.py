@@ -18,9 +18,9 @@ free parameter that minimizes the 2-norm condition number.  ``embed``
 pads an SH transform into a larger space with identity action on the
 leading coordinates of each half.
 
-All applications are in-place rank-one / two-row / block updates; the
-dense matrix of a transform is only formed by ``densify`` for testing
-and diagnostics.
+Every apply runs one left arithmetic per kind on the rows of a matrix;
+``apply_right_adjoint`` runs it on the view M^T, as M T^J = ((T^J)^T M^T)^T.
+The dense matrix of a transform is only formed by ``densify``, for tests.
 """
 
 from __future__ import annotations
@@ -332,9 +332,7 @@ def _vlh_from_segment(k: int, segment: np.ndarray, n: int) -> TransformVLH:
     n+k..2n; the caller decides which half of a column ``segment`` was
     read from.
     """
-    seg = np.asarray(segment, dtype=np.float64)
-    if seg.shape != (n - k + 1,):
-        raise ValueError("segment must have length n - k + 1")
+    seg = np.asarray(segment, dtype=np.float64)  # TransformVLH checks its length
     r1 = float(seg[1:] @ seg[1:])
     r = float(np.sqrt(seg[0] * seg[0] + r1))
     if r == 0.0:
@@ -379,26 +377,17 @@ def _half(t: SymplecticTransform, size: int | None = None, axis: str = "") -> in
     return t.n
 
 
-def _planes(t: TransformGivens) -> tuple[slice, slice]:
-    """Row (or column) slices of a record's planes in the upper and lower half."""
-    k = t.k0 - 1
-    return slice(k, k + t.c.size), slice(t.n + k, t.n + k + t.c.size)
-
-
-# Elements per row block of a right Givens apply: the two products a
-# rotation holds stay this small however tall the matrix is (the S replay
-# rotates whole columns of S).
+# Elements per row block of M in a right Givens apply: the two products a
+# rotation holds stay this small however tall M is (the S replay rotates
+# whole columns of S).  A left apply's products are as wide as M.
 _ROTATE_BLOCK = 8192
 
 
 def _rotate_in_place(c, s, x, y) -> None:
     """Overwrite x and y with the Givens pairs (c x + s y, -s x + c y),
-    elementwise with broadcasting.
-
-    The roundings are those of the two-product formula: each result is the
-    rounded sum of the same two rounded products.  Only the two products
-    that read the old x and y are held; x and y must not overlap.
-    """
+    elementwise with broadcasting: each result is the rounded sum of the
+    same two rounded products, and only the two products that read the old
+    x and y are held, so x and y must not overlap."""
     sy = s * y
     sx = -s * x
     x *= c
@@ -407,50 +396,61 @@ def _rotate_in_place(c, s, x, y) -> None:
     y += sx
 
 
+def _add_outer(block, scale: float, x, row) -> None:
+    """block += scale * (x row^T), the outer product rounded before the
+    scaling and laid out like ``block``: rows of M^T cost what M's do."""
+    prod = np.multiply(x[:, None], row, order="F" if block.strides[0] < block.strides[1] else "C")
+    prod *= scale
+    block += prod
+
+
+def _sh_rows(c: float, u, w, up, lo) -> None:
+    """M <- (I + c v v^J) M on the rows up, lo of M where v = (u, w) is nonzero."""
+    row = u @ lo - w @ up  # v^J M on the support
+    _add_outer(up, c, u, row)
+    _add_outer(lo, c, w, row)
+
+
+def _left_rows(t: SymplecticTransform, m: np.ndarray, n: int) -> None:
+    """M <- T M on the rows of a 2n-by-k matrix or view, unchecked: the one
+    arithmetic of every apply."""
+    if isinstance(t, TransformSH):
+        _sh_rows(t.c, t.u, t.w, m[t.offset:n], m[n + t.offset:])
+    elif isinstance(t, TransformGivens):
+        k, size = t.k0 - 1, t.c.size
+        _rotate_in_place(t.c[:, None], t.s[:, None], m[k:k + size], m[n + k:n + k + size])
+    else:
+        for block in (m[t.k - 1:n], m[n + t.k - 1:]):
+            _add_outer(block, -t.beta, t.w, t.w @ block)
+
+
 def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
     """In-place M <- T M for a 2n-by-k matrix.  A 2n-vector is updated as a
     one-column matrix, with the same arithmetic."""
     n = _half(t, m.shape[0], "rows")
-    if t.is_identity:
-        return
-    if m.ndim == 1:
-        m = m[:, None]  # a view: the updates below write through to the vector
-    if isinstance(t, TransformSH):
-        up = slice(t.offset, n)
-        lo = slice(n + t.offset, 2 * n)
-        row = t.u @ m[lo, :] - t.w @ m[up, :]  # v^J M on the support
-        m[up, :] += t.c * (t.u[:, None] * row)
-        m[lo, :] += t.c * (t.w[:, None] * row)
-    elif isinstance(t, TransformGivens):
-        up, lo = _planes(t)
-        _rotate_in_place(t.c[:, None], t.s[:, None], m[up], m[lo])
-    else:
-        for block in (slice(t.k - 1, n), slice(n + t.k - 1, 2 * n)):
-            m[block, :] -= t.beta * (t.w[:, None] * (t.w @ m[block, :]))
+    if not t.is_identity:
+        _left_rows(t, m[:, None] if m.ndim == 1 else m, n)  # a view: writes go through
 
 
 def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
-    """In-place M <- M T^J.  For the orthogonal kinds T^J = T^T."""
+    """In-place M <- M T^J, as M^T <- (T^J)^T M^T by the left arithmetic.
+
+    (T^J)^T is the SH transform with the halves (w, -u) of v' = J v (the
+    halves (-w, u) negate its sums, which flips signs of zero) and, for the
+    orthogonal kinds, the record itself.  A Givens record goes through M in
+    row blocks of ``_ROTATE_BLOCK`` elements; the others take M whole.
+    """
     if m.ndim != 2:
         raise ValueError("right application expects a 2-D matrix")
     n = _half(t, m.shape[1], "columns")
     if t.is_identity:
         return
     if isinstance(t, TransformSH):
-        # M T^J = M - c (M v) (v^T J), and v^T J = [-w, u] on the support.
-        up = slice(t.offset, n)
-        lo = slice(n + t.offset, 2 * n)
-        mv = m[:, up] @ t.u + m[:, lo] @ t.w
-        m[:, up] += t.c * (mv[:, None] * t.w)
-        m[:, lo] -= t.c * (mv[:, None] * t.u)
-    elif isinstance(t, TransformGivens):
-        up, lo = _planes(t)
-        step = max(1, _ROTATE_BLOCK // t.c.size)  # rows per block
-        for r in range(0, m.shape[0], step):
-            _rotate_in_place(t.c, t.s, m[r:r + step, up], m[r:r + step, lo])
-    else:
-        for block in (slice(t.k - 1, n), slice(n + t.k - 1, 2 * n)):
-            m[:, block] -= t.beta * ((m[:, block] @ t.w)[:, None] * t.w)
+        _sh_rows(t.c, t.w, -t.u, m[:, t.offset:n].T, m[:, n + t.offset:].T)
+        return
+    step = max(1, _ROTATE_BLOCK // t.c.size if isinstance(t, TransformGivens) else len(m))
+    for r in range(0, len(m), step):
+        _left_rows(t, m[r:r + step].T, n)
 
 
 def densify(t: SymplecticTransform) -> np.ndarray:

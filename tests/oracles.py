@@ -1,10 +1,13 @@
 """Dense oracles of the symplectic structure for the tests.
 
 The library never forms J or the adjoint of a whole matrix; these exact
-definitions are what its results are checked against.
+definitions are what its results are checked against.  One reference
+keeps an older arithmetic whose rounding the library must still match.
 """
 
 import numpy as np
+
+from symhess import TransformGivens, TransformSH
 
 
 def _even_half(k: int, what: str) -> int:
@@ -53,3 +56,35 @@ def adjoint_mat(m) -> np.ndarray:
     adj[k:, :n] = -a[n:, :k].T
     adj[k:, n:] = a[:n, :k].T
     return adj
+
+
+def right_adjoint_reference(t, m) -> None:
+    """In-place M <- M T^J by the right-apply arithmetic the library used
+    before its right apply ran the left arithmetic on M^T, kept as the
+    reference that pins its rounding, signs of zero included.
+
+    The library rotates a tall M in row blocks; a Givens rotation is
+    elementwise, so the blocks do not change its rounding and are left out.
+    """
+    n = t.n
+    if t.is_identity:
+        return
+    if isinstance(t, TransformSH):
+        # M T^J = M - c (M v) (v^T J), and v^T J = [-w, u] on the support.
+        up = slice(t.offset, n)
+        lo = slice(n + t.offset, 2 * n)
+        mv = m[:, up] @ t.u + m[:, lo] @ t.w
+        m[:, up] += t.c * (mv[:, None] * t.w)
+        m[:, lo] -= t.c * (mv[:, None] * t.u)
+    elif isinstance(t, TransformGivens):
+        k = t.k0 - 1
+        x, y = m[:, k:k + t.c.size], m[:, n + k:n + k + t.c.size]
+        sy = t.s * y
+        sx = -t.s * x
+        x *= t.c
+        x += sy
+        y *= t.c
+        y += sx
+    else:
+        for block in (slice(t.k - 1, n), slice(n + t.k - 1, 2 * n)):
+            m[:, block] -= t.beta * ((m[:, block] @ t.w)[:, None] * t.w)

@@ -52,3 +52,19 @@ def test_traced_reduction_reads_every_transform_layer():
                    "count_sh", "count_givens", "count_vlh"):
         assert per_layer["transforms." + metric] > 0, metric
     assert symhess.reduction.apply_left is symhess.transforms.apply_left  # uninstalled
+
+
+@pytest.mark.parametrize("variant", ["jhmsh", "jhmsh2"])
+def test_right_applies_do_not_call_the_traced_left_apply(variant, monkeypatch):
+    # The tracer times `reduction.apply_left` as the left-apply layer.  The
+    # right apply runs the left arithmetic too, but must not reach it
+    # through that name, or its time would land in the left layer: one call
+    # per transcript record means no right apply, in the loop or in the S
+    # replay, went through it.
+    a = np.random.default_rng(0).standard_normal((12, 12))
+    calls = []
+    inner = symhess.reduction.apply_left
+    monkeypatch.setattr(symhess.reduction, "apply_left",
+                        lambda t, m: calls.append(t) or inner(t, m))
+    res = symhess.reduction.reduce(a, variant)
+    assert len(calls) == len(res.transcript)

@@ -22,7 +22,9 @@ from symhess import (
     vlh,
 )
 
-from oracles import adjoint_mat, j_inner
+from oracles import adjoint_mat, j_inner, right_adjoint_reference
+from symhess.reduction import _vlg_lowering
+from symhess.transforms import _vlh_from_segment
 
 
 def mapped(t, a):
@@ -376,6 +378,62 @@ class TestGivensRounding:
             expect = m.copy()
             expect[:, up], expect[:, lo] = self._reference(t.c, t.s, m[:, up], m[:, lo])
             assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
+
+
+class TestRightApplyRounding:
+    """The right apply runs the left arithmetic on M^T, with the halves
+    (w, -u) for an SH record, and rounds exactly as its former arithmetic did
+    (``oracles.right_adjoint_reference``), signs of zero included."""
+
+    N = 6
+
+    @classmethod
+    def _records(cls, rng):
+        n = cls.N
+        col = rng.standard_normal(2 * n)
+        col[[2, n + 3]] = 0.0, -0.0  # zero entries in the directions
+        sub = np.concatenate((col[2:n], col[n + 2:]))  # 2(n - 2) entries
+        zeros = np.zeros(2 * n)
+        records = [
+            embed(sh1(sub, 1.5), 2, n),
+            embed(sh2(sub, 0.25), 2, n),
+            embed(osh1(sub), 2, n),
+            embed(osh2(sub), 2, n),
+            osh2(col),
+            vlh(2, col),
+            _vlh_from_segment(3, col[n + 2:], n),
+            vlg(3, col),
+            vlg_sweep(2, col),
+            _vlg_lowering(2, col),
+            # identity records
+            sh1(col, float(col[0])),
+            osh1(zeros),
+            vlh(3, zeros),
+            vlg(2, zeros),
+            vlg_sweep(1, zeros),
+            _vlg_lowering(4, zeros),
+        ]
+        assert sum(t.is_identity for t in records) == 6
+        return records
+
+    @classmethod
+    def _matrices(cls, rng):
+        for rows in (2 * cls.N, 3):
+            m = rng.standard_normal((rows, 2 * cls.N))
+            planted = rng.random(m.shape) < 0.3
+            m[planted] = np.where(rng.random(planted.sum()) < 0.5, 0.0, -0.0)
+            m[1] = np.where(rng.random(2 * cls.N) < 0.5, 0.0, -0.0)  # a row of signed zeros
+            yield m
+            yield np.asfortranarray(m)
+
+    def test_right_apply_matches_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(1700)
+        for t in self._records(rng):
+            for m in self._matrices(rng):
+                out, expect = m.copy(order="K"), m.copy(order="K")
+                apply_right_adjoint(t, out)
+                right_adjoint_reference(t, expect)
+                assert np.array_equal(out.view(np.uint64), expect.view(np.uint64)), t
 
 
 class TestVlh:
