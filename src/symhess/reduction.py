@@ -37,6 +37,12 @@ form maps e_j to a multiple of itself, so the pivot stays zero, and a
 rescue would only break the form.  A breakdown no rescue clears raises
 ``BreakdownError``, and so does a non-finite working column or metric
 (kind ``NonFinite``): a run never returns NaN or infinity as a result.
+
+The loop, the S replay and the metrics run with numpy's floating-point
+errors ignored and its ufunc buffer at ``_UFUNC_BUFSIZE`` elements; the
+driver's ``step_hook`` runs inside that scope, and the caller's settings
+come back on return or raise.  Results do not depend on the buffer size,
+so replaying the transcript outside ``reduce`` rebuilds S bit for bit.
 """
 
 from __future__ import annotations
@@ -78,6 +84,17 @@ __all__ = [
     "reduce",
     "VARIANTS",
 ]
+
+# numpy's ufunc buffer, in elements, while ``reduce`` runs.  At numpy's
+# default of 8,192 an operand broadcast along a row shorter than the buffer
+# (``x[:, None]`` in a rank-one product, ``c[:, None]`` in a left rotation)
+# is copied through the iteration buffers: a 200x400 outer product took
+# 108 us, against 26-35 us with at most 1,024 elements (numpy 2.4, one
+# Xeon core).  Of 128, 256 and 512, 256 gave the fastest n = 200
+# reductions; 16 doubles the cost of a right apply to a few columns.
+# Every array is float64 and every sum goes through BLAS, so the size
+# moves no rounding.
+_UFUNC_BUFSIZE = 256
 
 
 @dataclass(frozen=True)
@@ -393,22 +410,28 @@ class _Driver:
     def run(self, step_hook=None) -> ReductionResult:
         n = self.n
         # Overflow surfaces as a NonFinite breakdown rather than a warning.
+        # numpy >= 2 scopes the buffer size to errstate, numpy 1.x does not:
+        # the finally restores the caller's.
         with np.errstate(all="ignore"):
-            for j in range(1, n):
-                mu, rho = (None, None) if self.params is None else next(self.params)
-                self._check_finite(j, "odd", j)
-                self._eliminate_sh(j, "odd", j, j, osh2, sh2, mu)
-                self._zero_targets(j, j, j)
-                self._check_finite(j, "even", n + j)
-                self.even_substep(self, j, rho)
-                self._zero_targets(j, n + j, j + 1)
-                if step_hook is not None:
-                    step_hook(j, self.A)
-            s = np.eye(2 * n)
-            for t in self.transcript:
-                apply_right_adjoint(t, s)
-            orth_loss = symplecticity_residual(s)
-            red_err = spectral_norm(reduction_residual(self.a0, self.A, s))
+            bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+            try:
+                for j in range(1, n):
+                    mu, rho = (None, None) if self.params is None else next(self.params)
+                    self._check_finite(j, "odd", j)
+                    self._eliminate_sh(j, "odd", j, j, osh2, sh2, mu)
+                    self._zero_targets(j, j, j)
+                    self._check_finite(j, "even", n + j)
+                    self.even_substep(self, j, rho)
+                    self._zero_targets(j, n + j, j + 1)
+                    if step_hook is not None:
+                        step_hook(j, self.A)
+                s = np.eye(2 * n)
+                for t in self.transcript:
+                    apply_right_adjoint(t, s)
+                orth_loss = symplecticity_residual(s)
+                red_err = spectral_norm(reduction_residual(self.a0, self.A, s))
+            finally:
+                np.setbufsize(bufsize)
         for metric in (orth_loss, red_err):
             if not math.isfinite(metric):
                 raise BreakdownError(n - 1, "even", "NonFinite", metric)

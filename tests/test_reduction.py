@@ -617,6 +617,24 @@ class TestResultDiagnostics:
                 tracemalloc.stop()
         assert peaks["jhmsh"] <= 1.04 * peaks["jhmsh2"], peaks
 
+    def test_s_replay_holds_no_iteration_buffers(self):
+        # At numpy's default buffer size the broadcast rank-one products of
+        # the S replay allocated iteration buffers near one more matrix
+        # (5.94 matrices on this input); with them gone the metric phase
+        # sets the peak (4.79).
+        n = 40
+        a = gen_family1(n)
+        reduce(a, "jhmsh")  # first-call allocations are not the reduction's
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            reduce(a, "jhmsh")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.0 * 8 * (2 * n) ** 2
+
     def test_negative_pivot_tol_rejected(self):
         with pytest.raises(ValueError):
             ReductionOptions(pivot_tol=-1.0)
@@ -664,6 +682,47 @@ class TestSIsTheReplay:
         assert len(replay) == len(res.transcript)
         assert min(replay) > max(hooks)
         assert all(events[i][1] is res.s for i in replay)
+
+
+class TestNumpyStateRestored:
+    """``reduce`` runs with numpy's errors ignored and a small ufunc buffer,
+    and hands the caller's settings back however it ends."""
+
+    @staticmethod
+    def _state():
+        return np.getbufsize(), np.geterr()
+
+    def test_after_a_result(self):
+        before = self._state()
+        reduce(np.random.default_rng([1500, 3]).standard_normal((14, 14)), "jhmsh")
+        assert self._state() == before
+
+    def test_after_a_breakdown(self):
+        before = self._state()
+        with pytest.raises(BreakdownError):
+            reduce(gen_family2(40), "jhmsh2")
+        assert self._state() == before
+
+    def test_caller_settings_come_back(self):
+        with np.errstate(over="raise"):
+            # numpy 1.x does not scope the buffer size to errstate
+            default = np.setbufsize(1024)
+            try:
+                before = self._state()
+                reduce(gen_family1(4), "jhmsh")
+                assert self._state() == before
+                assert before[0] == 1024 and before[1]["over"] == "raise"
+            finally:
+                np.setbufsize(default)
+
+    def test_step_hook_runs_inside_the_scope(self):
+        seen = []
+        driver = _Driver(gen_family1(4), "jhmsh", ReductionOptions())
+        driver.run(step_hook=lambda j, _a: seen.append(self._state()))
+        assert len(seen) == 3
+        for bufsize, err in seen:
+            assert bufsize == reduction._UFUNC_BUFSIZE
+            assert set(err.values()) == {"ignore"}
 
 
 def _zero_pair_input():
