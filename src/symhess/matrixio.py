@@ -62,10 +62,12 @@ def read_matrix(path) -> np.ndarray:
     """Read a matrix file, one line at a time, into a float64 array.
 
     Any whitespace layout with the header's count of values is accepted,
-    and every value is parsed by ``float()``.  Errors are reported in a
-    fixed order, whichever comes first in the file: a non-ASCII byte, then
-    a count of values that does not match the header (naming the count
-    found), then a token ``float()`` refuses, then a non-finite value.
+    and every value is parsed by ``float()``'s rules: numpy converts the
+    tokens of a line as they are assigned into the result.  Errors are
+    reported in a fixed order, whichever comes first in the file: a
+    non-ASCII byte, then a count of values that does not match the header
+    (naming the count found), then a token ``float()`` refuses, then a
+    non-finite value.
     """
     try:
         with open(path, encoding="ascii") as fh:
@@ -93,7 +95,7 @@ def read_matrix(path) -> np.ndarray:
                         grown[:found] = data[:found]
                         data = grown
                     try:
-                        data[found:end] = list(map(float, tokens))
+                        data[found:end] = tokens  # numpy parses each str as float() does
                     except ValueError:
                         numeric = False  # reported only if the count is right
                 found = end

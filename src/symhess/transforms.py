@@ -20,7 +20,8 @@ leading coordinates of each half.
 
 Every apply runs one left arithmetic per kind on the rows of a matrix;
 ``apply_right_adjoint`` runs it on the view M^T, as M T^J = ((T^J)^T M^T)^T.
-The dense matrix of a transform is only formed by ``densify``, for tests.
+The library never forms the dense matrix of a transform: that matrix is
+the tests' oracle, against which every apply is checked.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "embed",
     "apply_left",
     "apply_right_adjoint",
-    "densify",
     "cond2",
 ]
 
@@ -94,20 +94,8 @@ class TransformSH:
             raise ValueError("u and w must both have length n - offset")
 
     @property
-    def v(self) -> np.ndarray:
-        """The full direction vector of length 2n."""
-        full = np.zeros(2 * self.n)
-        full[self.offset:self.n] = self.u
-        full[self.n + self.offset:] = self.w
-        return full
-
-    @property
     def is_identity(self) -> bool:
         return self.c == 0.0
-
-    def adjoint(self) -> "TransformSH":
-        """T^J = I - c v v^J, itself a symplectic Householder transform."""
-        return TransformSH(-self.c, self.u, self.w, self.offset, self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +125,6 @@ class TransformGivens:
     def is_identity(self) -> bool:
         return bool((self.c == 1.0).all() and (self.s == 0.0).all())
 
-    def adjoint(self) -> "TransformGivens":
-        return TransformGivens(self.k0, self.c, -self.s, self.n)
-
 
 @dataclass(frozen=True, eq=False)
 class TransformVLH:
@@ -167,9 +152,6 @@ class TransformVLH:
     @property
     def is_identity(self) -> bool:
         return self.beta == 0.0
-
-    def adjoint(self) -> "TransformVLH":
-        return self  # symmetric and orthogonal
 
 
 SymplecticTransform = TransformSH | TransformGivens | TransformVLH
@@ -451,28 +433,6 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
     step = max(1, _ROTATE_BLOCK // t.c.size if isinstance(t, TransformGivens) else len(m))
     for r in range(0, len(m), step):
         _left_rows(t, m[r:r + step].T, n)
-
-
-def densify(t: SymplecticTransform) -> np.ndarray:
-    """Explicit 2n-by-2n matrix of a transform (diagnostics and tests)."""
-    n = _half(t)
-    out = np.eye(2 * n)
-    if t.is_identity:
-        return out
-    if isinstance(t, TransformSH):
-        v = t.v
-        vj = np.concatenate((-v[n:], v[:n]))  # row vector v^T J
-        out += t.c * np.outer(v, vj)
-    elif isinstance(t, TransformGivens):
-        i = np.arange(t.k0 - 1, t.k0 - 1 + t.c.size)
-        out[i, i] = out[i + n, i + n] = t.c
-        out[i, i + n] = t.s
-        out[i + n, i] = -t.s
-    else:
-        p = np.eye(t.w.size) - t.beta * np.outer(t.w, t.w)
-        out[t.k - 1:n, t.k - 1:n] = p
-        out[n + t.k - 1:, n + t.k - 1:] = p
-    return out
 
 
 def cond2(t: SymplecticTransform) -> float:

@@ -1,13 +1,14 @@
 """Dense oracles of the symplectic structure for the tests.
 
-The library never forms J or the adjoint of a whole matrix; these exact
-definitions are what its results are checked against.  One reference
-keeps an older arithmetic whose rounding the library must still match.
+The library never forms J, the adjoint of a whole matrix or the dense
+matrix of a transform; these exact definitions are what its results are
+checked against.  One reference keeps an older arithmetic whose rounding
+the library must still match.
 """
 
 import numpy as np
 
-from symhess import TransformGivens, TransformSH
+from symhess import SymplecticTransform, TransformGivens, TransformSH
 
 
 def _even_half(k: int, what: str) -> int:
@@ -56,6 +57,42 @@ def adjoint_mat(m) -> np.ndarray:
     adj[k:, :n] = -a[n:, :k].T
     adj[k:, n:] = a[:n, :k].T
     return adj
+
+
+def densify(t) -> np.ndarray:
+    """The explicit 2n-by-2n matrix of a transform record."""
+    if not isinstance(t, SymplecticTransform):
+        raise TypeError(f"not a symplectic transform: {type(t).__name__}")
+    n = t.n
+    out = np.eye(2 * n)
+    if t.is_identity:
+        return out
+    if isinstance(t, TransformSH):
+        v = np.zeros(2 * n)
+        v[t.offset:n] = t.u
+        v[n + t.offset:] = t.w
+        vj = np.concatenate((-v[n:], v[:n]))  # row vector v^T J
+        out += t.c * np.outer(v, vj)
+    elif isinstance(t, TransformGivens):
+        i = np.arange(t.k0 - 1, t.k0 - 1 + t.c.size)
+        out[i, i] = out[i + n, i + n] = t.c
+        out[i, i + n] = t.s
+        out[i + n, i] = -t.s
+    else:
+        p = np.eye(t.w.size) - t.beta * np.outer(t.w, t.w)
+        out[t.k - 1:n, t.k - 1:n] = p
+        out[n + t.k - 1:, n + t.k - 1:] = p
+    return out
+
+
+def adjoint_record(t):
+    """The record of T^J: I - c v v^J for T = I + c v v^J, the rotations
+    by (c, -s), and a reflector itself (symmetric and orthogonal)."""
+    if isinstance(t, TransformSH):
+        return TransformSH(-t.c, t.u, t.w, t.offset, t.n)
+    if isinstance(t, TransformGivens):
+        return TransformGivens(t.k0, t.c, -t.s, t.n)
+    return t
 
 
 def right_adjoint_reference(t, m) -> None:

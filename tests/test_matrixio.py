@@ -236,6 +236,27 @@ class TestReaderContract:
         assert np.array_equal(back, m)
 
 
+class TestTokenValues:
+    """Each token reads as the double ``float()`` parses it to."""
+
+    EDGE = ["1_0", "+.5", "5.", "-0", "1E5", "1e-320", "4.9406564584124654e-324",
+            "0.30000000000000004"]
+
+    def test_edge_tokens_read_bit_for_bit(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(f"2 4\n{' '.join(self.EDGE[:5])}\n{' '.join(self.EDGE[5:])}\n")
+        expect = np.array([float(tok) for tok in self.EDGE])
+        got = read_matrix(path).ravel()
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))  # -0 included
+
+    @pytest.mark.parametrize("token", ["0x10", "1__0", "1d5", "1j", "."])
+    def test_token_float_refuses_is_non_numeric(self, tmp_path, token):
+        path = tmp_path / "m.txt"
+        path.write_text(f"1 2\n1 {token}\n")
+        with pytest.raises(MatrixFormatError, match="non-numeric"):
+            read_matrix(path)
+
+
 class TestWriterRefuses:
     """The writer refuses what the reader refuses, before it opens the path."""
 

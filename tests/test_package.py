@@ -29,3 +29,9 @@ def test_no_module_exports_a_name_twice():
     # the package's __all__ is the union of the modules' lists; a name in
     # two lists would be shadowed by the later star import
     assert len(set(symhess.__all__)) == len(symhess.__all__)
+
+
+def test_dense_oracle_is_not_exported():
+    # the dense matrix of a transform is the tests' oracle, not library API
+    assert "densify" not in symhess.__all__
+    assert not hasattr(symhess.transforms, "densify")

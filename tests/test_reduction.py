@@ -20,7 +20,6 @@ from symhess import (
     TransformVLH,
     apply_left,
     apply_right_adjoint,
-    densify,
     gen_family1,
     gen_family2,
     reduce,
@@ -33,7 +32,7 @@ from symhess import (
 from symhess.reduction import _Driver
 from symhess.transforms import _vlh_from_segment
 
-from oracles import adjoint_mat
+from oracles import adjoint_mat, densify
 
 VARIANTS = ("jhsh", "jhosh", "jhmsh", "jhmsh2")
 
