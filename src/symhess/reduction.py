@@ -58,6 +58,7 @@ from .transforms import (
     DEFAULT_BREAKDOWN_TOL,
     Breakdown,
     SymplecticTransform,
+    _norm,
     _rotate_in_place,
     _rotations,
     _vlh_from_segment,
@@ -296,9 +297,8 @@ class _Driver:
 
     def _check_finite(self, j: int, substep: str, col: int) -> None:
         column = self.A[:, col - 1]
-        bad = ~np.isfinite(column)
-        if bad.any():
-            raise BreakdownError(j, substep, "NonFinite", column[bad][0])
+        if not np.isfinite(column).all():
+            raise BreakdownError(j, substep, "NonFinite", column[~np.isfinite(column)][0])
 
     def _zero_targets(self, j: int, col: int, row0: int) -> None:
         # Assign exact zeros to the eliminated rows of a 1-based column of
@@ -335,7 +335,7 @@ class _Driver:
             return
         # a view: it follows A through every similarity below
         column = self.A[:, col - 1]
-        scale = float(np.linalg.norm(self._subcolumn(col, row0)))
+        scale = _norm(self._subcolumn(col, row0))
         if scale == 0.0:
             self.similarity(vlh(row0, column))
             yield "degenerate"

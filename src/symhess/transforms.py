@@ -174,6 +174,14 @@ def _sign(x: float) -> float:
     return 1.0 if x >= 0.0 else -1.0
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 of a 1-D float64 array, rounded as ``np.linalg.norm`` rounds
+    it: the square root of the dot of ``v.ravel(order="K")``, a view unless
+    v is strided.  A strided dot rounds differently from a contiguous one."""
+    x = v.ravel(order="K")
+    return math.sqrt(x @ x)
+
+
 def sh1(a, rho: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     """T with T a = rho e1; rho is a free finite nonzero scalar.
 
@@ -188,7 +196,7 @@ def sh1(a, rho: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     nu = av[m]
     if aux == 0.0:
         return _identity_sh(m)
-    if abs(nu) <= tol * float(np.linalg.norm(av)):
+    if abs(nu) <= tol * _norm(av):
         raise Breakdown("ZeroPivot", nu)
     if not math.isfinite(rho):
         # after the pivot test: when ||a|| overflows, osh1 passes rho = +-inf
@@ -214,7 +222,7 @@ def sh2(a, mu: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     if m == 1:
         return _identity_sh(m)
     nu = av[m]
-    if abs(nu) <= tol * float(np.linalg.norm(av)):
+    if abs(nu) <= tol * _norm(av):
         raise Breakdown("ZeroNu", nu)
     if mu == av[0]:
         raise InvalidParam("mu must differ from a(1)")
@@ -231,7 +239,7 @@ def osh1(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     A zero vector is already of target form, so it yields the identity.
     """
     av = _as_vector(a)
-    rho = _sign(float(av[0])) * float(np.linalg.norm(av))
+    rho = _sign(float(av[0])) * _norm(av)
     if rho == 0.0:
         return _identity_sh(av.size // 2)
     return sh1(av, rho, tol)
@@ -248,15 +256,17 @@ def osh2(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     if m == 1:
         return _identity_sh(m)
     tail = np.concatenate((av[1:m], av[m + 1:]))
-    xi = float(np.linalg.norm(tail))
+    xi = _norm(tail)
     nu = av[m]
     if xi == 0.0:
         return _identity_sh(m)
-    if abs(nu) <= tol * float(np.linalg.norm(av)):
+    if abs(nu) <= tol * _norm(av):
         raise Breakdown("ZeroNu", nu)
-    v = -av / xi
+    v = av / -xi
     v[0] = 1.0
     v[m] = 0.0
+    # nu stays a numpy scalar: where tol * ||a|| is NaN a zero nu passes the
+    # test above, and xi / nu must give inf there, not ZeroDivisionError
     c = xi / nu
     return TransformSH(float(c), v[:m], v[m:], 0, m)
 
@@ -315,14 +325,14 @@ def _vlh_from_segment(k: int, segment: np.ndarray, n: int) -> TransformVLH:
     read from.
     """
     seg = np.asarray(segment, dtype=np.float64)  # TransformVLH checks its length
-    r1 = float(seg[1:] @ seg[1:])
-    r = float(np.sqrt(seg[0] * seg[0] + r1))
+    s0, r1 = float(seg[0]), float(seg[1:] @ seg[1:])
+    r = math.sqrt(s0 * s0 + r1)
     if r == 0.0:
         return TransformVLH(k, 0.0, np.zeros_like(seg), n)
     w = seg.copy()
-    w[0] = seg[0] + _sign(float(seg[0])) * r
-    beta = 2.0 / (w[0] * w[0] + r1)
-    return TransformVLH(k, float(beta), w, n)
+    w[0] = w0 = s0 + _sign(s0) * r
+    # w0 * w0 >= r * r > 0 when r > 0, so the division cannot raise
+    return TransformVLH(k, 2.0 / (w0 * w0 + r1), w, n)
 
 
 def vlh(k: int, a) -> TransformVLH:
@@ -366,16 +376,16 @@ _ROTATE_BLOCK = 8192
 
 
 def _rotate_in_place(c, s, x, y) -> None:
-    """Overwrite x and y with the Givens pairs (c x + s y, -s x + c y),
+    """Overwrite x and y with the Givens pairs (c x + s y, c y - s x),
     elementwise with broadcasting: each result is the rounded sum of the
     same two rounded products, and only the two products that read the old
     x and y are held, so x and y must not overlap."""
     sy = s * y
-    sx = -s * x
+    sx = s * x
     x *= c
     x += sy
     y *= c
-    y += sx
+    y -= sx
 
 
 def _add_outer(block, scale: float, x, row) -> None:
@@ -386,18 +396,14 @@ def _add_outer(block, scale: float, x, row) -> None:
     block += prod
 
 
-def _sh_rows(c: float, u, w, up, lo) -> None:
-    """M <- (I + c v v^J) M on the rows up, lo of M where v = (u, w) is nonzero."""
-    row = u @ lo - w @ up  # v^J M on the support
-    _add_outer(up, c, u, row)
-    _add_outer(lo, c, w, row)
-
-
 def _left_rows(t: SymplecticTransform, m: np.ndarray, n: int) -> None:
     """M <- T M on the rows of a 2n-by-k matrix or view, unchecked: the one
     arithmetic of every apply."""
     if isinstance(t, TransformSH):
-        _sh_rows(t.c, t.u, t.w, m[t.offset:n], m[n + t.offset:])
+        up, lo = m[t.offset:n], m[n + t.offset:]  # the rows where v = (u, w) is nonzero
+        row = t.u @ lo - t.w @ up  # v^J M on the support
+        _add_outer(up, t.c, t.u, row)
+        _add_outer(lo, t.c, t.w, row)
     elif isinstance(t, TransformGivens):
         k, size = t.k0 - 1, t.c.size
         _rotate_in_place(t.c[:, None], t.s[:, None], m[k:k + size], m[n + k:n + k + size])
@@ -418,9 +424,12 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
     """In-place M <- M T^J, as M^T <- (T^J)^T M^T by the left arithmetic.
 
     (T^J)^T is the SH transform with the halves (w, -u) of v' = J v (the
-    halves (-w, u) negate its sums, which flips signs of zero) and, for the
-    orthogonal kinds, the record itself.  A Givens record goes through M in
-    row blocks of ``_ROTATE_BLOCK`` elements; the others take M whole.
+    halves (-w, u) negate its sums, which flips signs of zero).  Its row
+    v'^J M^T is formed as w lo + u up and its lower product is scaled by
+    -c: negation is exact and a - b is a + (-b), so this rounds as the
+    halves (w, -u) do, signs of zero included.  The orthogonal kinds are
+    their own (T^J)^T; a Givens record goes through M in row blocks of
+    ``_ROTATE_BLOCK`` elements, a VLH record takes M whole.
     """
     if m.ndim != 2:
         raise ValueError("right application expects a 2-D matrix")
@@ -428,11 +437,16 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
     if t.is_identity:
         return
     if isinstance(t, TransformSH):
-        _sh_rows(t.c, t.w, -t.u, m[:, t.offset:n].T, m[:, n + t.offset:].T)
-        return
-    step = max(1, _ROTATE_BLOCK // t.c.size if isinstance(t, TransformGivens) else len(m))
-    for r in range(0, len(m), step):
-        _left_rows(t, m[r:r + step].T, n)
+        up, lo = m[:, t.offset:n].T, m[:, n + t.offset:].T
+        row = t.w @ lo + t.u @ up
+        _add_outer(up, t.c, t.w, row)
+        _add_outer(lo, -t.c, t.u, row)
+    elif isinstance(t, TransformGivens):
+        step = max(1, _ROTATE_BLOCK // t.c.size)
+        for r in range(0, len(m), step):
+            _left_rows(t, m[r:r + step].T, n)
+    else:
+        _left_rows(t, m.T, n)
 
 
 def cond2(t: SymplecticTransform) -> float:

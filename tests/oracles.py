@@ -59,6 +59,19 @@ def adjoint_mat(m) -> np.ndarray:
     return adj
 
 
+def off_pattern(s_a, s_b) -> float:
+    """How far S_a^J S_b is from the trivial factor two reductions of one
+    matrix share when S_a e1 = S_b e1 (the implicit-S theorem): its largest
+    entry outside the diagonals of the (1,1), (1,2) and (2,2) blocks, or
+    anywhere in the (2,1) block, relative to its largest entry."""
+    d = adjoint_mat(s_a) @ np.asarray(s_b, dtype=np.float64)
+    n = _even_half(d.shape[1], "column count")
+    pattern = np.zeros(d.shape, dtype=bool)
+    i = np.arange(n)
+    pattern[i, i] = pattern[i, n + i] = pattern[n + i, n + i] = True
+    return float(np.abs(d[~pattern]).max() / np.abs(d).max())
+
+
 def densify(t) -> np.ndarray:
     """The explicit 2n-by-2n matrix of a transform record."""
     if not isinstance(t, SymplecticTransform):

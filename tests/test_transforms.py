@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symhess import (
+    DEFAULT_BREAKDOWN_TOL,
     Breakdown,
     InvalidParam,
     TransformGivens,
@@ -162,6 +163,48 @@ class TestOsh2:
 
     def test_n1_identity(self):
         assert osh2(np.array([2.0, 5.0])).is_identity
+
+
+class TestStridedInput:
+    """A builder given a strided column view returns what it returns for a
+    contiguous copy of it, bit for bit: its norms dot a contiguous vector,
+    as ``np.linalg.norm`` does, and a strided dot rounds differently.
+    osh1's rho is that norm; every builder's pivot test reads it, checked
+    both at the default tolerance and at tol = |a(n+1)| / ||a||, where one
+    rounding of the norm decides the breakdown."""
+
+    BUILDERS = {
+        "sh1": lambda a, tol: sh1(a, 0.75, tol),
+        "sh2": lambda a, tol: sh2(a, 0.25, tol),
+        "osh1": osh1,
+        "osh2": osh2,
+    }
+
+    @staticmethod
+    def _outcome(build, a, tol):
+        def bits(x):
+            return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.uint64).tolist()
+        try:
+            t = build(a, tol)
+        except Breakdown as exc:
+            return "breakdown", exc.kind, bits(exc.pivot_value)
+        return "record", bits(t.c), bits(t.u), bits(t.w)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_column_view_builds_as_its_copy(self, name):
+        build = self.BUILDERS[name]
+        rng = np.random.default_rng(2100)
+        breakdowns = 0
+        for m in range(2, 41):
+            matrix = rng.standard_normal((2 * m, 6))  # C-ordered: columns are strided
+            for j in range(matrix.shape[1]):
+                view, copy = matrix[:, j], matrix[:, j].copy()
+                edge = abs(copy[m]) / np.linalg.norm(copy)
+                for tol in (DEFAULT_BREAKDOWN_TOL, edge):
+                    outcome = self._outcome(build, view, tol)
+                    assert outcome == self._outcome(build, copy, tol), (m, j, tol)
+                    breakdowns += outcome[0] == "breakdown"
+        assert breakdowns > 0  # the edge tolerance reaches the pivot test
 
 
 class TestVlg:

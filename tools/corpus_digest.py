@@ -31,11 +31,12 @@ A change that keeps every result bit for bit prints no difference; one
 that only rounds the metrics differently changes only the third hash of
 some lines.  The digests hold for one BLAS kernel only (numpy's OpenBLAS
 picks its kernel for the CPU when it loads), so two outputs whose headers
-differ are not comparable.  A full run takes about 12 s on one core.  Run
-as a script, the tool pins BLAS to one thread before numpy loads: the
-blocking of a multi-threaded BLAS changes the roundings of the n=150 and
-n=200 cases, so without the pin the digests would depend on the caller's
-environment.  Imported, it leaves the environment alone.
+differ are not comparable.  A full run takes 25-40 s on one core of a
+2-vCPU Xeon VM (numpy 2.4).  Run as a script, the tool pins BLAS to one
+thread before numpy loads: the blocking of a multi-threaded BLAS changes
+the roundings of the n=150 and n=200 cases, so without the pin the
+digests would depend on the caller's environment.  Imported, it leaves
+the environment alone.
 """
 
 from __future__ import annotations
