@@ -31,8 +31,17 @@ __all__ = [
 ]
 
 
+def _as_real(x) -> np.ndarray:
+    """``x`` as a float64 array, refusing complex input with ``ValueError``:
+    numpy would cast it with only a warning, dropping the imaginary part."""
+    a = np.asarray(x)
+    if a.dtype.kind == "c":
+        raise ValueError(f"input must be real, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
+    a = _as_real(m)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("expected a nonempty 2-D matrix")
     return a

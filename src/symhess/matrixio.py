@@ -19,6 +19,8 @@ import stat
 
 import numpy as np
 
+from .core import _as_real
+
 __all__ = ["MatrixFormatError", "read_matrix", "write_matrix"]
 
 
@@ -27,7 +29,8 @@ class MatrixFormatError(ValueError):
 
 
 def write_matrix(path, m) -> None:
-    """Write ``m`` to ``path``, refusing what ``read_matrix`` would refuse.
+    """Write ``m`` to ``path``, refusing what ``read_matrix`` would refuse,
+    and complex input, with ``ValueError`` before the path is opened.
 
     An existing regular file is overwritten in place and then cut to the
     new length, never truncated first: on filesystems that discard freed
@@ -37,7 +40,7 @@ def write_matrix(path, m) -> None:
     rejects.  Other targets (a pipe, a device) get the header, then the
     rows.
     """
-    a = np.asarray(m, dtype=np.float64)
+    a = _as_real(m)
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     if a.shape[0] < 1 or a.shape[1] < 1:

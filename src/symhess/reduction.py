@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import reduction_residual, spectral_norm, symplecticity_residual
+from .core import _as_real, reduction_residual, spectral_norm, symplecticity_residual
 from .transforms import (
     DEFAULT_BREAKDOWN_TOL,
     Breakdown,
@@ -239,9 +239,9 @@ class _Driver:
         # kept unbound: a bound method stored on self would be a reference
         # cycle, holding the driver's arrays until a gc pass
         self.even_substep, strategy = _algorithm(variant, opts)
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"input must be a square matrix, got shape {a.shape}")
+        a = _as_real(a)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError(f"input must be a nonempty square matrix, got shape {a.shape}")
         if a.shape[0] % 2:
             raise ValueError(f"input size must be even, got {a.shape[0]}")
         if not np.all(np.isfinite(a)):
@@ -260,35 +260,14 @@ class _Driver:
         apply_right_adjoint(t, self.A)
         self.transcript.append(t)
 
-    def _givens_sweep(self, j: int, col: int) -> None:
-        """Apply the similarities by vlg(k, column), k = n down to j+1, as one
-        ``vlg_sweep`` record.
-
-        Applied one by one from k = n down, the rotations gave the 2x2 block
-        with row plane p and column plane q its left rotation first when
-        p >= q and its right rotation first when p < q.  The record applies
-        left first throughout, so the p < q blocks of the active square are
-        recomputed right-then-left: the four blocks saved before the record
-        are rotated in place, by the same rounding as every Givens apply,
-        and written back through the p < q mask.  H equals that of the
-        one-by-one sweep bit for bit.
-        """
-        n, A = self.n, self.A
-        up, lo = slice(j, n), slice(n + j, 2 * n)
-        t = vlg_sweep(j + 1, A[:, col - 1])
-        a11, a12, a21, a22 = (A[rows, cols].copy() for rows in (up, lo) for cols in (up, lo))
-        self.similarity(t)
-        if t.is_identity:  # the applies skipped it: A is as it was
-            return
-        c, s = t.c, t.s
-        cl, sl = c[:, None], s[:, None]
-        _rotate_in_place(c, s, a11, a12)
-        _rotate_in_place(c, s, a21, a22)
-        _rotate_in_place(cl, sl, a11, a21)
-        _rotate_in_place(cl, sl, a12, a22)
-        right_first = ~np.tri(n - j, dtype=bool)  # blocks with p < q
-        for rows, cols, value in ((up, up, a11), (up, lo, a12), (lo, up, a21), (lo, lo, a22)):
-            np.copyto(A[rows, cols], value, where=right_first)
+    def _lower_reflector(self, col: int, row0: int) -> None:
+        """Apply the reflector concentrating the lower segment of a 1-based
+        column, rows n+row0..2n, onto row n+row0.  It is built from a
+        contiguous copy of the segment: the reflector's ``seg[1:] @ seg[1:]``
+        rounds differently on a strided view of A, and results keep the
+        contiguous rounding."""
+        n = self.n
+        self.similarity(_vlh_from_segment(row0, self.A[n + row0 - 1:, col - 1].copy(), n))
 
     def _subcolumn(self, col: int, row0: int) -> np.ndarray:
         # active part {row0..n, n+row0..2n} of a 1-based column index
@@ -340,23 +319,19 @@ class _Driver:
             self.similarity(vlh(row0, column))
             yield "degenerate"
         elif np.any(np.abs(column[n + row0:]) > self.opts.pivot_tol * scale):
-            # The copy is contiguous: the reflector's ``seg[1:] @ seg[1:]``
-            # rounds differently on a strided view of A, and results keep
-            # the contiguous rounding.
-            self.similarity(_vlh_from_segment(row0, column[n + row0 - 1:].copy(), n))
+            self._lower_reflector(col, row0)
             yield "case_b"
         else:
             # The chain is applied to A member by member.  Its first two
             # members are both built from the column as it stands, neither
             # from what the other leaves; they never touch row row0, so
             # earlier columns keep their form.  The last member is built
-            # from the column after both are applied, from a copy as in
-            # case B.
+            # from the column after both are applied, as in case B.
             if row0 < n:
                 reflector, rotation = vlh(row0 + 1, column), _vlg_lowering(row0 + 1, column)
                 self.similarity(reflector)
                 self.similarity(rotation)
-            self.similarity(_vlh_from_segment(row0, column[n + row0 - 1:].copy(), n))
+            self._lower_reflector(col, row0)
             yield "case_a"
             self.similarity(_vlg_lowering(row0, column))
             yield "case_a_rotation"
@@ -390,17 +365,35 @@ class _Driver:
         self._eliminate_sh(j, "even", self.n + j, j + 1, osh1, sh1, rho)
 
     def _even_givens(self, j: int, _rho) -> None:
-        col = self.n + j
-        self._givens_sweep(j, col)
-        if j <= self.n - 2:
+        """The similarities by vlg(k, column n+j), k = n down to j+1, as one
+        ``vlg_sweep`` record, then one reflector.
+
+        Applied one by one from k = n down, the rotations gave the 2x2 block
+        with row plane p and column plane q its left rotation first when
+        p >= q and its right rotation first when p < q.  The record applies
+        left first throughout, so the p < q blocks of the active square are
+        recomputed right-then-left: one copy of the square, saved before the
+        record, is rotated in place by the same rounding as every Givens
+        apply and written back through the p < q mask.  H equals that of
+        the one-by-one sweep bit for bit.
+        """
+        n, col = self.n, self.n + j
+        t = vlg_sweep(j + 1, self.A[:, col - 1])
+        # the active square as (row half, p, column half, q), a view of A
+        square = self.A.reshape(2, n, 2, n)[:, j:, :, j:]
+        saved = square.copy()
+        self.similarity(t)
+        if not t.is_identity:  # else the applies skipped it: A is as it was
+            _rotate_in_place(t.c, t.s, saved[:, :, 0], saved[:, :, 1])
+            _rotate_in_place(t.c[:, None, None], t.s[:, None, None], saved[0], saved[1])
+            np.copyto(square, saved, where=~np.tri(n - j, dtype=bool)[:, None, :])
+        if j <= n - 2:
             self.similarity(vlh(j + 1, self.A[:, col - 1]))
 
     def _even_compact(self, j: int, _rho) -> None:
         n, col = self.n, self.n + j
-        segment = self.A[n + j:, col - 1]
-        if segment.size >= 2:
-            # contiguous for the dot product's rounding, as in case B
-            self.similarity(_vlh_from_segment(j + 1, segment.copy(), n))
+        if j <= n - 2:
+            self._lower_reflector(col, j + 1)
             # the reflector can overflow the column; vlg must not see it
             self._check_finite(j, "even", col)
         self.similarity(vlg(j + 1, self.A[:, col - 1]))
@@ -476,7 +469,9 @@ def reduce(a, variant: str, opts: ReductionOptions | None = None) -> ReductionRe
     """Reduce ``a`` with one of the four variants, named case-insensitively.
 
     Only ``jhsh`` takes its free parameters from ``opts.strategy``; the
-    others use the minimum-condition choices and ignore it.  ``a`` is read
-    in place, not copied, so it must not change during the call.
+    others use the minimum-condition choices and ignore it.  ``a`` must be
+    a real, finite, nonempty 2n-by-2n matrix, else ``ValueError``: complex
+    input is refused, not cast.  It is read in place, not copied, so it must
+    not change during the call.
     """
     return _Driver(a, variant, opts if opts is not None else ReductionOptions()).run()

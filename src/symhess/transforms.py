@@ -32,6 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import _as_real
+
 __all__ = [
     "DEFAULT_BREAKDOWN_TOL",
     "Breakdown",
@@ -158,7 +160,7 @@ SymplecticTransform = TransformSH | TransformGivens | TransformVLH
 
 
 def _as_vector(a) -> np.ndarray:
-    v = np.asarray(a, dtype=np.float64)
+    v = _as_real(a)
     if v.ndim != 1 or v.size == 0 or v.size % 2:
         raise ValueError("expected a 1-D vector of even length")
     return v
@@ -369,9 +371,12 @@ def _half(t: SymplecticTransform, size: int | None = None, axis: str = "") -> in
     return t.n
 
 
-# Elements per row block of M in a right Givens apply: the two products a
-# rotation holds stay this small however tall M is (the S replay rotates
-# whole columns of S).  A left apply's products are as wide as M.
+# Elements per row block of M in a right Givens apply.  The blocks buy
+# speed on wide sweeps: a right apply of a 199-plane sweep to a 400x400
+# matrix took 0.31 ms blocked and 0.61 ms in one piece, of a 999-plane
+# sweep to a 2000x2000 one 6.3 ms against 10.3 ms (numpy 2.4, ufunc buffer
+# 256, one Xeon core).  They do not set a reduction's memory peak, which
+# its metric phase does: jhmsh at n = 200 traced 4.7096 MiB either way.
 _ROTATE_BLOCK = 8192
 
 

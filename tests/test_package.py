@@ -1,4 +1,8 @@
+import warnings
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import symhess
 
@@ -35,3 +39,26 @@ def test_dense_oracle_is_not_exported():
     # the dense matrix of a transform is the tests' oracle, not library API
     assert "densify" not in symhess.__all__
     assert not hasattr(symhess.transforms, "densify")
+
+
+_ENTRY_POINTS = {
+    "reduce": lambda a, path: symhess.reduce(a, "jhmsh"),
+    "write_matrix": lambda a, path: symhess.write_matrix(path, a),
+    "spectral_norm": lambda a, path: symhess.spectral_norm(a),
+    "builder": lambda a, path: symhess.vlh(1, a[0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+def test_complex_input_refused(entry, as_list, tmp_path):
+    # numpy would cast it to float64 with only a warning, dropping the
+    # imaginary part, and the call would go on with another matrix
+    a = np.array([[1 + 2j, 0], [0, 1]])
+    path = tmp_path / "m.txt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="real"):
+            _ENTRY_POINTS[entry]([list(row) for row in a] if as_list else a, path)
+    assert caught == []
+    assert not path.exists()

@@ -107,6 +107,10 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             reduce(np.zeros((3, 3)), "jhmsh")
 
+    def test_rejects_empty_before_running(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            _Driver(np.zeros((0, 0)), "jhmsh", ReductionOptions())
+
     def test_rejects_nonfinite(self):
         a = np.eye(4)
         a[0, 0] = np.nan
@@ -280,9 +284,11 @@ class TestVariantsAgree:
     (1,2) and (2,2) blocks and a zero (2,1) block.  Its size off that
     pattern is a forward error; each bound sits above the values measured
     on its inputs (Gaussians: 1.9e-14 to 9.7e-13; families: 8.8e-14 to
-    3.3e-10)."""
+    3.3e-10; jhsh's free parameters against jhmsh: 2.2e-13 to 7.6e-9)."""
 
     OTHERS = ("jhmsh", "jhmsh2")
+    FREE = (FixedStrategy(rhos=(1.5, -0.75, 2.0, 1.25), mus=(0.5, 2.0, -1.0, 1.5)),
+            SeededStrategy(7))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gaussians(self, seed):
@@ -290,6 +296,16 @@ class TestVariantsAgree:
         s = reduce(a, "jhosh").s
         for variant in self.OTHERS:
             assert off_pattern(s, reduce(a, variant).s) <= 1e-11, variant
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_free_parameters_change_only_the_factor(self, seed):
+        # the parameters of jhsh scale the trivial factor; its q is larger
+        # than jhosh's, and so is the bound
+        a = np.random.default_rng([31, seed, 5]).standard_normal((10, 10))
+        s = reduce(a, "jhmsh").s
+        for strategy in self.FREE:
+            res = reduce(a, "jhsh", ReductionOptions(strategy=strategy))
+            assert off_pattern(s, res.s) <= 1e-7, strategy
 
     @pytest.mark.parametrize("family, gen", [(1, gen_family1), (2, gen_family2)])
     @pytest.mark.parametrize("n", [4, 6, 8])

@@ -27,7 +27,7 @@ from symhess import (
 
 from oracles import adjoint_mat, adjoint_record, densify, j_inner, right_adjoint_reference
 from symhess.reduction import _vlg_lowering
-from symhess.transforms import _vlh_from_segment
+from symhess.transforms import _ROTATE_BLOCK, _vlh_from_segment
 
 
 def mapped(t, a):
@@ -400,14 +400,17 @@ class TestGivensRounding:
 
     def test_applies_match_the_formula_bit_for_bit(self):
         rng = np.random.default_rng(3500)
-        n = 5
+        # (record, rows of the right-applied matrix)
         records = (
-            vlg(2, rng.standard_normal(2 * n)),
-            vlg_sweep(2, rng.standard_normal(2 * n)),
-            TransformGivens(1, np.array([1.0, 0.6, 0.0]), np.array([0.0, -0.8, 1.0]), n),
+            (vlg(2, rng.standard_normal(10)), 7),
+            (vlg_sweep(2, rng.standard_normal(10)), 7),
+            (TransformGivens(1, np.array([1.0, 0.6, 0.0]), np.array([0.0, -0.8, 1.0]), 5), 7),
+            # 99 planes on 250 rows: the right apply takes several row blocks
+            (vlg_sweep(2, np.random.default_rng(3501).standard_normal(200)), 250),
         )
-        for t in records:
-            k = t.k0 - 1
+        assert 250 > 2 * (_ROTATE_BLOCK // 99)
+        for t, rows in records:
+            n, k = t.n, t.k0 - 1
             up, lo = slice(k, k + t.c.size), slice(n + k, n + k + t.c.size)
             for shape in ((2 * n,), (2 * n, 7)):
                 m = self._signed(rng, shape)
@@ -417,7 +420,7 @@ class TestGivensRounding:
                 expect = m.copy()
                 expect[up], expect[lo] = self._reference(c, s, m[up], m[lo])
                 assert np.array_equal(out.view(np.uint64), expect.view(np.uint64))
-            m = self._signed(rng, (7, 2 * n))
+            m = self._signed(rng, (rows, 2 * n))
             out = m.copy()
             apply_right_adjoint(t, out)
             expect = m.copy()
