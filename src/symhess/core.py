@@ -47,16 +47,12 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def _even_half(k: int, what: str) -> int:
-    if k % 2:
-        raise ValueError(f"{what} must have even size, got {k}")
-    return k // 2
-
-
 def _square_half(m: np.ndarray) -> int:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    return _even_half(m.shape[0], "matrix")
+    if m.shape[0] % 2:
+        raise ValueError(f"matrix must have even size, got {m.shape[0]}")
+    return m.shape[0] // 2
 
 
 def _adjoint_rows(m: np.ndarray, r0: int, out: np.ndarray) -> None:

@@ -149,10 +149,13 @@ ParamStrategy = OptimalStrategy | FixedStrategy | SeededStrategy
 
 @dataclass(frozen=True)
 class ReductionOptions:
+    """Parameter strategy, zero-pivot rescue and pivot threshold of a run.
+    No option changes the form of H: every step j writes exact zeros to rows
+    j+1..n, n+j+1..2n of column j and rows j+2..n, n+j+1..2n of column n+j."""
+
     strategy: ParamStrategy = field(default_factory=OptimalStrategy)
     breakdown_fallback: bool = True
     pivot_tol: float = DEFAULT_BREAKDOWN_TOL
-    set_exact_zeros: bool = True
 
     def __post_init__(self):
         if not isinstance(self.strategy, ParamStrategy):
@@ -160,11 +163,9 @@ class ReductionOptions:
                              f"SeededStrategy, got {self.strategy!r}")
         if not (math.isfinite(self.pivot_tol) and self.pivot_tol >= 0):
             raise ValueError(f"pivot_tol must be finite and nonnegative, got {self.pivot_tol!r}")
-        for name in ("breakdown_fallback", "set_exact_zeros"):
-            flag = getattr(self, name)
-            if not isinstance(flag, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a bool, got {flag!r}")
-            object.__setattr__(self, name, bool(flag))
+        if not isinstance(self.breakdown_fallback, (bool, np.bool_)):
+            raise ValueError(f"breakdown_fallback must be a bool, got {self.breakdown_fallback!r}")
+        object.__setattr__(self, "breakdown_fallback", bool(self.breakdown_fallback))
 
 
 class BreakdownError(Exception):
@@ -280,11 +281,10 @@ class _Driver:
             raise BreakdownError(j, substep, "NonFinite", column[~np.isfinite(column)][0])
 
     def _zero_targets(self, j: int, col: int, row0: int) -> None:
-        # Assign exact zeros to the eliminated rows of a 1-based column of
-        # step j: rows row0+1..n and n+j+1..2n.
-        if self.opts.set_exact_zeros:
-            self.A[row0:self.n, col - 1] = 0.0
-            self.A[self.n + j:, col - 1] = 0.0
+        """Write exact zeros to the entries step j eliminates from a 1-based
+        column: rows row0+1..n and n+j+1..2n."""
+        self.A[row0:self.n, col - 1] = 0.0
+        self.A[self.n + j:, col - 1] = 0.0
 
     def _rescues(self, j: int, substep: str, col: int, row0: int):
         """The zero-pivot rescues of a 1-based column in the order they are
@@ -472,6 +472,7 @@ def reduce(a, variant: str, opts: ReductionOptions | None = None) -> ReductionRe
     others use the minimum-condition choices and ignore it.  ``a`` must be
     a real, finite, nonempty 2n-by-2n matrix, else ``ValueError``: complex
     input is refused, not cast.  It is read in place, not copied, so it must
-    not change during the call.
+    not change during the call.  H has exact zeros in rows j+1..n,
+    n+j+1..2n of column j and rows j+2..n, n+j+1..2n of column n+j, j < n.
     """
     return _Driver(a, variant, opts if opts is not None else ReductionOptions()).run()

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -106,8 +105,9 @@ class TransformGivens:
 
     The planes are disjoint, so the rotations commute and apply at once by
     slices; k0 is 1-based.  As for the other kinds, a record is skipped only
-    when it is the identity, here when every plane is (c = 1, s = 0); an
-    identity plane inside a record that is not is applied.
+    when it is the identity (``is_identity``, set once, not a field), here
+    when every plane is (c = 1, s = 0); an identity plane inside a record
+    that is not is applied.
     """
 
     k0: int
@@ -122,10 +122,7 @@ class TransformGivens:
             raise ValueError("the planes k0..k0+c.size-1 must lie in 1..n")
         if not (np.abs(self.c * self.c + self.s * self.s - 1.0) <= 1e-14).all():
             raise ValueError("c^2 + s^2 must equal 1")
-
-    @cached_property  # every apply of the record reads it
-    def is_identity(self) -> bool:
-        return bool((self.c == 1.0).all() and (self.s == 0.0).all())
+        object.__setattr__(self, "is_identity", bool((self.c == 1).all() and (self.s == 0).all()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +190,17 @@ def sh1(a, rho: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     av = _as_vector(a)
     if rho == 0.0:
         raise InvalidParam("rho must be nonzero")
+    return _sh1(av, rho, _norm(av), tol)
+
+
+def _sh1(av: np.ndarray, rho: float, norm: float, tol: float) -> TransformSH:
+    """sh1 of a checked vector whose 2-norm the caller passes as ``norm``."""
     m = av.size // 2
     aux = av[0] - rho
     nu = av[m]
     if aux == 0.0:
         return _identity_sh(m)
-    if abs(nu) <= tol * _norm(av):
+    if abs(nu) <= tol * norm:
         raise Breakdown("ZeroPivot", nu)
     if not math.isfinite(rho):
         # after the pivot test: when ||a|| overflows, osh1 passes rho = +-inf
@@ -241,10 +243,10 @@ def osh1(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     A zero vector is already of target form, so it yields the identity.
     """
     av = _as_vector(a)
-    rho = _sign(float(av[0])) * _norm(av)
-    if rho == 0.0:
+    norm = _norm(av)
+    if norm == 0.0:
         return _identity_sh(av.size // 2)
-    return sh1(av, rho, tol)
+    return _sh1(av, _sign(float(av[0])) * norm, norm, tol)
 
 
 def osh2(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:

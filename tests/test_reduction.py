@@ -27,6 +27,7 @@ from symhess import (
     spectral_norm,
     structure_report,
     symplecticity_residual,
+    vlg,
     vlh,
 )
 from symhess.reduction import _Driver
@@ -138,16 +139,22 @@ class TestInputValidation:
             FixedStrategy(rhos=(1.0, zero, 1.0), mus=(1.0,) * 3)
         assert FixedStrategy(rhos=(1.0,) * 3, mus=(zero,) * 3).mus == (0.0,) * 3
 
-    @pytest.mark.parametrize("flag", ["breakdown_fallback", "set_exact_zeros"])
+    @pytest.mark.parametrize("flag", ["breakdown_fallback"])
     @pytest.mark.parametrize("bad", ["off", None, 1])
     def test_rejects_non_bool_flags(self, flag, bad):
         with pytest.raises(ValueError, match=flag):
             ReductionOptions(**{flag: bad})
 
     def test_numpy_bool_flags_stored_as_bool(self):
-        opts = ReductionOptions(breakdown_fallback=np.False_, set_exact_zeros=np.True_)
-        assert opts.breakdown_fallback is False
-        assert opts.set_exact_zeros is True
+        assert ReductionOptions(breakdown_fallback=np.False_).breakdown_fallback is False
+        assert ReductionOptions(breakdown_fallback=np.True_).breakdown_fallback is True
+
+    def test_options_are_strategy_fallback_and_pivot_tol(self):
+        # the exact zeros of H are no option: every run writes them
+        names = [f.name for f in dataclasses.fields(ReductionOptions)]
+        assert names == ["strategy", "breakdown_fallback", "pivot_tol"]
+        with pytest.raises(TypeError):
+            ReductionOptions(set_exact_zeros=False)
 
     @pytest.mark.parametrize("bad", ["seeded", None, 3, OptimalStrategy])
     def test_rejects_unknown_strategy(self, bad):
@@ -429,12 +436,44 @@ class TestContract:
                     continue
                 assert structure_report(res.h, 0.0).is_upper_j_hessenberg, (gen.__name__, n)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("opts", [
+        ReductionOptions(),
+        ReductionOptions(strategy=SeededStrategy(7)),
+        ReductionOptions(breakdown_fallback=False),
+        ReductionOptions(pivot_tol=0.05),
+    ], ids=["default", "seeded7", "fallback_off", "pivot_tol_0.05"])
+    def test_gaussians_keep_the_form_or_raise(self, variant, opts):
+        # no option set returns an H without its exact zeros
+        for seed in range(20):
+            for n in (4, 10, 25):
+                a = np.random.default_rng([9, seed, n]).standard_normal((2 * n, 2 * n))
+                try:
+                    res = reduce(a, variant, opts)
+                except BreakdownError:
+                    continue
+                assert structure_report(res.h, 0.0).is_upper_j_hessenberg, (seed, n)
+
     def test_late_odd_rescue_is_refused(self):
         # the case-B reflector of step 13 would mix H12(13, 12) into rows
         # 14..n of column n+12
         with pytest.raises(BreakdownError) as exc:
             reduce(gen_family1(19), "jhosh")
         assert (exc.value.step, exc.value.substep, exc.value.kind) == (13, "odd", "ZeroNu")
+
+    def test_jhmsh_refuses_late_odd_rescues_on_family2(self):
+        # family 2 from n = 27 on needs an odd rescue at a step j > 1 with a
+        # nonzero H12(j, j-1); smaller sizes reduce
+        refused = 0
+        for n in range(2, 41):
+            if n < 27:
+                reduce(gen_family2(n), "jhmsh")
+                continue
+            with pytest.raises(BreakdownError) as exc:
+                reduce(gen_family2(n), "jhmsh")
+            assert exc.value.substep == "odd" and exc.value.step > 1, n
+            refused += 1
+        assert refused == 14
 
     def test_odd_rescue_kept_where_h12_subdiagonal_is_zero(self):
         # family 1 behind an already reduced plane (1, n+1): its zero pivot
@@ -629,13 +668,6 @@ class TestResultDiagnostics:
         c_ordered = np.array(a, order="C")
         assert res.red_err == spectral_norm(res.h - adjoint_mat(res.s) @ c_ordered @ res.s)
 
-    def test_without_exact_zeros_structure_holds_at_tolerance(self):
-        a = well_pivoted(np.random.default_rng(1300), 8)
-        res = reduce(a, "jhmsh", ReductionOptions(set_exact_zeros=False))
-        tol = 1e-12 * np.linalg.norm(res.h, "fro")
-        assert structure_report(res.h, tol).is_upper_j_hessenberg
-        assert res.red_err <= 1e-10 * spectral_norm(a)
-
     def test_driver_freed_without_gc(self):
         # a reference cycle through the driver would keep its arrays (and
         # its reference to the input) alive after the run, until the cyclic
@@ -776,55 +808,44 @@ class TestNumpyStateRestored:
             assert set(err.values()) == {"ignore"}
 
 
-def _zero_pair_input():
-    # Plane (4, 10) is invariant, so every jhmsh sweep meets a zero (f, g)
-    # pair there and builds an identity rotation.
-    a = np.random.default_rng(1400).standard_normal((12, 12))
-    for i in (3, 9):
-        a[i, :] = 0.0
-        a[:, i] = 0.0
-    a[3, 3], a[3, 9], a[9, 3], a[9, 9] = 1.0, 2.0, -0.5, 3.0
-    return a
-
-
-def _jhmsh_replay_inputs():
-    for n in range(2, 41):
-        yield f"family1 n={n}", gen_family1(n)
-        yield f"family2 n={n}", gen_family2(n)
-    for seed, n in enumerate((3, 7, 15, 30)):
-        yield f"gaussian n={n}", np.random.default_rng([1500, seed]).standard_normal((2 * n, 2 * n))
-    yield "zero (f, g) pair", _zero_pair_input()
+def _even_step_inputs():
+    """(a, j) for each even sub-step of n in {2, 3, 5, 9, 16} and 6 seeds;
+    the odd seeds plant zero (f, g) pairs in column n+j, every other plane
+    from j+1 on, so the sweep builds identity planes there (every plane
+    when n = j+1)."""
+    for n in (2, 3, 5, 9, 16):
+        for j in range(1, n):
+            for seed in range(6):
+                a = np.random.default_rng([1450, n, j, seed]).standard_normal((2 * n, 2 * n))
+                if seed % 2:
+                    a[j:n:2, n + j - 1] = a[n + j:2 * n:2, n + j - 1] = 0.0
+                yield a, j
 
 
 class TestTranscriptSimilarityReplay:
-    def test_jhmsh_replay_is_bit_exact(self, one_plane_records):
-        # Without exact zeros H is exactly the product of the recorded
-        # similarities, applied one by one in transcript order, each Givens
-        # record as its one-plane records (the one-by-one sweep).  Family 2
-        # from n = 27 on needs an odd rescue at a step j > 1 with a nonzero
-        # H12(j, j-1), which the driver refuses.
-        opts = ReductionOptions(set_exact_zeros=False)
-        identities = refused = 0
-        for name, a in _jhmsh_replay_inputs():
-            if name.startswith("family2") and a.shape[0] >= 2 * 27:
-                with pytest.raises(BreakdownError) as exc:
-                    reduce(a, "jhmsh", opts)
-                assert exc.value.substep == "odd" and exc.value.step > 1, name
-                refused += 1
-                continue
-            res = reduce(a, "jhmsh", opts)
-            h, s = a.copy(), np.eye(a.shape[0])
-            for record in res.transcript:
-                givens = isinstance(record, TransformGivens)
-                for t in one_plane_records(record) if givens else [record]:
-                    apply_left(t, h)
-                    apply_right_adjoint(t, h)
-                    apply_right_adjoint(t, s)
-                    identities += givens and t.is_identity
-            assert np.array_equal(h, res.h), name
-            assert np.array_equal(s, res.s), name
+    def test_even_givens_is_the_one_by_one_sweep(self):
+        # The sweep record applies its left rotations first throughout; the
+        # one-by-one similarities vlg(k, column n+j), k = n down to j+1, then
+        # vlh(j+1, column n+j), gave the p < q blocks of the active square
+        # their right rotation first.  The sub-step must match them bit for
+        # bit, identity planes included.
+        identities = 0
+        for a, j in _even_step_inputs():
+            n = a.shape[0] // 2
+            driver = _Driver(a.copy(), "jhmsh", ReductionOptions())
+            driver._even_givens(j, None)
+            ref = a.copy()
+            for k in range(n, j, -1):
+                t = vlg(k, ref[:, n + j - 1])
+                identities += t.is_identity
+                apply_left(t, ref)
+                apply_right_adjoint(t, ref)
+            if j <= n - 2:
+                t = vlh(j + 1, ref[:, n + j - 1])
+                apply_left(t, ref)
+                apply_right_adjoint(t, ref)
+            assert np.array_equal(driver.A.view(np.uint64), ref.view(np.uint64)), (n, j)
         assert identities > 0
-        assert refused == 14
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_transcript_rebuilds_s_bit_exact(self, variant):
@@ -871,13 +892,11 @@ class TestIdentitySweepSkipped:
                            (slice(n, None), slice(n, None))):
             a[rows, cols] = np.triu(a[rows, cols])
         a[a == 0.0] = -0.0
-        for opts in (ReductionOptions(), ReductionOptions(set_exact_zeros=False)):
-            res = reduce(a, "jhmsh", opts)
-            assert all(t.is_identity for t in res.transcript)
-            expect = a.copy()
-            if opts.set_exact_zeros:
-                for j in range(1, n):
-                    expect[j:n, j - 1] = expect[n + j:, j - 1] = 0.0
-                    expect[j + 1:n, n + j - 1] = expect[n + j:, n + j - 1] = 0.0
-            assert np.array_equal(res.h.view(np.uint64), expect.view(np.uint64))
-            assert np.array_equal(res.s.view(np.uint64), np.eye(2 * n).view(np.uint64))
+        res = reduce(a, "jhmsh")
+        assert all(t.is_identity for t in res.transcript)
+        expect = a.copy()
+        for j in range(1, n):
+            expect[j:n, j - 1] = expect[n + j:, j - 1] = 0.0
+            expect[j + 1:n, n + j - 1] = expect[n + j:, n + j - 1] = 0.0
+        assert np.array_equal(res.h.view(np.uint64), expect.view(np.uint64))
+        assert np.array_equal(res.s.view(np.uint64), np.eye(2 * n).view(np.uint64))
