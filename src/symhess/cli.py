@@ -2,9 +2,12 @@
 sweep experiment tables, and check factorizations.
 
 Exit codes: 0 success, 2 bad arguments, 3 I/O failure or malformed matrix
-file, 4 breakdown, 5 non-square/odd/mismatched input, 6 structure check
-failed.  The commands raise, and ``main`` maps each error to its code
-through ``_EXIT_CODES``.
+file, 4 breakdown (a free parameter equal to a(1) of the working matrix
+included), 5 non-square/odd/mismatched input, 6 structure check failed.
+The commands raise, and ``main`` maps each error to its code through
+``_EXIT_CODES``.  The shape of a matrix is checked where it is used, by
+``reduce`` and the ``core`` metrics, whose message names the shape, not
+the file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import sys
 
 import numpy as np
 
-from .core import reduction_residual, spectral_norm, structure_report, symplecticity_residual
+from .core import (_ShapeError, reduction_residual, spectral_norm, structure_report,
+                   symplecticity_residual)
 from .experiments import FamilySpec, emit_table, run_sweep
 from .matrixio import MatrixFormatError, read_matrix, write_matrix
 from .reduction import (
@@ -66,18 +70,6 @@ def _parse_strategy(text: str) -> ParamStrategy:
                      "expected optimal, seeded:<u64> or fixed:<file>")
 
 
-def _load_square_even(path) -> np.ndarray:
-    a = read_matrix(path)
-    if a.shape[0] != a.shape[1] or a.shape[0] % 2:
-        raise _BadMatrix(f"{path}: matrix must be square with even size, "
-                         f"got {a.shape[0]}x{a.shape[1]}")
-    return a
-
-
-class _BadMatrix(ValueError):
-    pass
-
-
 def _check_writable(path) -> None:
     """Raise now the ``OSError`` that writing ``path`` after the work would
     raise, creating and changing nothing: ``path`` must be a writable
@@ -101,7 +93,7 @@ def _check_writable(path) -> None:
 
 # The exit code of each error kind a command raises, most specific kind first.
 _EXIT_CODES = {
-    _BadMatrix: EXIT_BAD_MATRIX,
+    _ShapeError: EXIT_BAD_MATRIX,
     MatrixFormatError: EXIT_IO,
     OSError: EXIT_IO,
     ValueError: EXIT_USAGE,
@@ -118,7 +110,7 @@ def _reduce(args) -> int:
     for out in (args.out_h, args.out_s):
         if out is not None:
             _check_writable(out)
-    a = _load_square_even(args.input)
+    a = read_matrix(args.input)
     res = reduce(a, args.algo, ReductionOptions(strategy=strat,
                                                 breakdown_fallback=args.fallback == "on",
                                                 pivot_tol=args.pivot_tol))
@@ -154,13 +146,10 @@ def _experiment(args) -> int:
 
 
 def _check(args) -> int:
-    a = _load_square_even(args.a)
-    s = _load_square_even(args.s)
-    h = _load_square_even(args.h)
-    if not a.shape == s.shape == h.shape:
-        raise _BadMatrix("A, S, H must all have the same shape")
-    orth_loss = symplecticity_residual(s)
+    a, s, h = read_matrix(args.a), read_matrix(args.s), read_matrix(args.h)
+    # reduction_residual checks every shape before any work or output
     red_err = spectral_norm(reduction_residual(a, h, s))
+    orth_loss = symplecticity_residual(s)
     tol = 1e-10 * float(np.linalg.norm(h, "fro"))
     report = structure_report(h, tol)
     print(f"orth_loss={orth_loss:.17g}")

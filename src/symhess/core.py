@@ -40,18 +40,23 @@ def _as_real(x) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+class _ShapeError(ValueError):
+    """A matrix has a shape its caller refuses; every matrix shape check is here."""
+
+
 def _as_matrix(m) -> np.ndarray:
     a = _as_real(m)
     if a.ndim != 2 or a.size == 0:
-        raise ValueError("expected a nonempty 2-D matrix")
+        raise _ShapeError(f"expected a nonempty 2-D matrix, both dimensions positive; "
+                          f"got shape {a.shape}")
     return a
 
 
 def _square_half(m: np.ndarray) -> int:
     if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
+        raise _ShapeError(f"matrix must be square, got shape {m.shape}")
     if m.shape[0] % 2:
-        raise ValueError(f"matrix must have even size, got {m.shape[0]}")
+        raise _ShapeError(f"matrix must have even size, got {m.shape[0]}")
     return m.shape[0] // 2
 
 
@@ -144,7 +149,7 @@ def reduction_residual(a, h, s) -> np.ndarray:
     a, h, s = _as_matrix(a), _as_matrix(h), _as_matrix(s)
     _square_half(s)
     if not a.shape == h.shape == s.shape:
-        raise ValueError(f"A, H and S must have one shape, got {a.shape}, {h.shape}, {s.shape}")
+        raise _ShapeError(f"A, H and S must have one shape, got {a.shape}, {h.shape}, {s.shape}")
     r = _adjoint_product(s, a)
     return np.subtract(h, r, out=r)
 

@@ -19,7 +19,7 @@ import stat
 
 import numpy as np
 
-from .core import _as_real
+from .core import _as_matrix
 
 __all__ = ["MatrixFormatError", "read_matrix", "write_matrix"]
 
@@ -40,11 +40,7 @@ def write_matrix(path, m) -> None:
     rejects.  Other targets (a pipe, a device) get the header, then the
     rows.
     """
-    a = _as_real(m)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError("dimensions must be positive")
+    a = _as_matrix(m)
     if not np.all(np.isfinite(a)):
         raise ValueError("entries must be finite")
     header = f"{a.shape[0]} {a.shape[1]}\n"

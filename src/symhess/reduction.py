@@ -53,10 +53,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _as_real, reduction_residual, spectral_norm, symplecticity_residual
+from .core import (_as_matrix, _square_half, reduction_residual, spectral_norm,
+                   symplecticity_residual)
 from .transforms import (
     DEFAULT_BREAKDOWN_TOL,
     Breakdown,
+    InvalidParam,
     SymplecticTransform,
     _norm,
     _rotate_in_place,
@@ -170,7 +172,8 @@ class ReductionOptions:
 
 class BreakdownError(Exception):
     """Reduction aborted on a numerically zero pivot that no rescue cleared,
-    or on a non-finite value (kind ``NonFinite``)."""
+    on a free parameter equal to a(1) of the working column (kind
+    ``InvalidParam``), or on a non-finite value (kind ``NonFinite``)."""
 
     def __init__(self, step: int, substep: str, kind: str, pivot_value: float):
         self.step = step
@@ -240,17 +243,13 @@ class _Driver:
         # kept unbound: a bound method stored on self would be a reference
         # cycle, holding the driver's arrays until a gc pass
         self.even_substep, strategy = _algorithm(variant, opts)
-        a = _as_real(a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-            raise ValueError(f"input must be a nonempty square matrix, got shape {a.shape}")
-        if a.shape[0] % 2:
-            raise ValueError(f"input size must be even, got {a.shape[0]}")
+        a = _as_matrix(a)
+        self.n = _square_half(a)
         if not np.all(np.isfinite(a)):
             raise ValueError("input must be finite")
         # read in place (copied only when not C-ordered), once, for red_err
         self.a0 = np.ascontiguousarray(a)
         self.A = a.copy()
-        self.n = a.shape[0] // 2
         self.opts = opts
         self.transcript: list[SymplecticTransform] = []
         self.fallbacks: list[tuple[int, str]] = []
@@ -342,7 +341,10 @@ class _Driver:
         built by ``optimal(sub, tol)`` or, given a free parameter, by
         ``general(sub, param, tol)``; on a zero pivot the next rescue is
         applied and the build retried.  A zero active column (the
-        ``degenerate`` rescue) needs no elimination.
+        ``degenerate`` rescue) needs no elimination.  A free parameter the
+        build refuses (mu equal to a(1) of the working column, which the
+        caller cannot know past step 1) raises ``BreakdownError`` of kind
+        ``InvalidParam`` at once: no rescue changes a(1).
         """
         tol = self.opts.pivot_tol
         rescues = self._rescues(j, substep, col, row0)
@@ -351,6 +353,8 @@ class _Driver:
             try:
                 t = optimal(sub, tol) if param is None else general(sub, param, tol)
                 break
+            except InvalidParam as exc:
+                raise BreakdownError(j, substep, "InvalidParam", 0.0) from exc
             except Breakdown as exc:
                 case = next(rescues, None)
                 if case is None:
@@ -403,28 +407,25 @@ class _Driver:
     def run(self, step_hook=None) -> ReductionResult:
         n = self.n
         # Overflow surfaces as a NonFinite breakdown rather than a warning.
-        # numpy >= 2 scopes the buffer size to errstate, numpy 1.x does not:
-        # the finally restores the caller's.
+        # errstate also scopes the buffer size: the caller's comes back on
+        # return or raise.
         with np.errstate(all="ignore"):
-            bufsize = np.setbufsize(_UFUNC_BUFSIZE)
-            try:
-                for j in range(1, n):
-                    mu, rho = (None, None) if self.params is None else next(self.params)
-                    self._check_finite(j, "odd", j)
-                    self._eliminate_sh(j, "odd", j, j, osh2, sh2, mu)
-                    self._zero_targets(j, j, j)
-                    self._check_finite(j, "even", n + j)
-                    self.even_substep(self, j, rho)
-                    self._zero_targets(j, n + j, j + 1)
-                    if step_hook is not None:
-                        step_hook(j, self.A)
-                s = np.eye(2 * n)
-                for t in self.transcript:
-                    apply_right_adjoint(t, s)
-                orth_loss = symplecticity_residual(s)
-                red_err = spectral_norm(reduction_residual(self.a0, self.A, s))
-            finally:
-                np.setbufsize(bufsize)
+            np.setbufsize(_UFUNC_BUFSIZE)
+            for j in range(1, n):
+                mu, rho = (None, None) if self.params is None else next(self.params)
+                self._check_finite(j, "odd", j)
+                self._eliminate_sh(j, "odd", j, j, osh2, sh2, mu)
+                self._zero_targets(j, j, j)
+                self._check_finite(j, "even", n + j)
+                self.even_substep(self, j, rho)
+                self._zero_targets(j, n + j, j + 1)
+                if step_hook is not None:
+                    step_hook(j, self.A)
+            s = np.eye(2 * n)
+            for t in self.transcript:
+                apply_right_adjoint(t, s)
+            orth_loss = symplecticity_residual(s)
+            red_err = spectral_norm(reduction_residual(self.a0, self.A, s))
         for metric in (orth_loss, red_err):
             if not math.isfinite(metric):
                 raise BreakdownError(n - 1, "even", "NonFinite", metric)

@@ -186,6 +186,43 @@ class TestReduce:
         assert run_cli("reduce", path, "--algo", "jhsh",
                        "--strategy", f"fixed:{tmp_path / 'absent'}") == 3
 
+    @pytest.mark.parametrize("shape, words", [((3, 3), "have even size, got 3"),
+                                              ((4, 6), "be square, got shape (4, 6)")])
+    def test_bad_shape_exits_5_naming_the_shape(self, tmp_path, capsys, shape, words):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.ones(shape))
+        assert run_cli("reduce", path, "--algo", "jhmsh") == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: matrix must {words}\n"
+
+    def test_non_numeric_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.eye(4))
+        assert run_cli("reduce", path, "--algo", "jhsh", "--strategy", "seeded:abc") == 2
+        assert "bad seed" in capsys.readouterr().err
+
+    def test_odd_count_fixed_strategy_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        write_matrix(path, np.eye(4))
+        params = tmp_path / "params.txt"
+        params.write_text("1.0\n0.5\n2.0\n")
+        assert run_cli("reduce", path, "--algo", "jhsh",
+                       "--strategy", f"fixed:{params}") == 2
+        assert "even count" in capsys.readouterr().err
+
+    def test_mu_meeting_the_working_column_exits_4(self, tmp_path, capsys):
+        # after the step-1 rescue of family 1, a(1) is 1.0: no caller could
+        # know that, so mu = 1.0 is a breakdown, not a bad argument
+        path = tmp_path / "m.txt"
+        write_matrix(path, gen_family1(4))
+        params = tmp_path / "params.txt"
+        params.write_text("1.0\n1.0\n" * 3)
+        assert run_cli("reduce", path, "--algo", "jhsh",
+                       "--strategy", f"fixed:{params}") == 4
+        kv = parse_kv(capsys)
+        assert (kv["step"], kv["substep"], kv["kind"]) == ("1", "odd", "InvalidParam")
+
 
 class TestOutputPathsCheckedFirst:
     """An unwritable output path exits 3 before any reduction runs, and a
@@ -348,6 +385,17 @@ class TestCheck:
         write_matrix(tmp_path / "h.txt", np.eye(4))
         assert run_cli("check", tmp_path / "a.txt", tmp_path / "s.txt",
                        tmp_path / "h.txt") == 5
+
+    @pytest.mark.parametrize("shapes", [((4, 4), (3, 3), (4, 4)), ((4, 6), (4, 4), (4, 4)),
+                                        ((4, 4), (4, 4), (6, 6))])
+    def test_bad_shape_exits_5_before_any_output(self, tmp_path, capsys, shapes):
+        for name, shape in zip("ash", shapes):
+            write_matrix(tmp_path / f"{name}.txt", np.eye(*shape))
+        assert run_cli("check", tmp_path / "a.txt", tmp_path / "s.txt",
+                       tmp_path / "h.txt") == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestExperiment:

@@ -423,6 +423,19 @@ class TestBreakdowns:
             sh2(np.array([1.0, 2.0, 0.0, 1.0]), 0.5)
         assert "np.float64" not in str(exc.value)
 
+    @pytest.mark.parametrize("gen, mu", [(gen_family1, 1.0), (gen_family2, -1.0)])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_mu_meeting_the_working_column_is_a_breakdown(self, gen, mu, n):
+        # after the step-1 case-A rescue a(1) equals mu: a collision the
+        # caller cannot foresee, so it is a breakdown, not a bad argument
+        opts = ReductionOptions(strategy=FixedStrategy(rhos=(1.0,) * n, mus=(mu,) * n))
+        driver = _Driver(gen(n), "jhsh", opts)
+        with pytest.raises(BreakdownError) as exc:
+            driver.run()
+        assert (exc.value.step, exc.value.substep, exc.value.kind) == (1, "odd", "InvalidParam")
+        assert exc.value.pivot_value == 0.0
+        assert driver.fallbacks == [(1, "odd_case_a")]  # no rescue after the collision
+
 
 class TestContract:
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -613,6 +626,29 @@ class TestFallback:
         chain.append(_vlh_from_segment(1, w[n:, 0].copy(), n))
         assert list(map(_transform_key, res.transcript[:3])) == list(map(_transform_key, chain))
 
+    @staticmethod
+    def _diagonal(n):
+        # column 1 is 2 e_1: no mass below the pivot, and the case-A chain
+        # leaves the pivot zero, so only the rotation can clear it
+        return np.diag(np.arange(2.0, 2.0 + 2 * n))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_case_a_rotation_clears_the_pivot(self, n):
+        a = self._diagonal(n)
+        a[:, n] += np.random.default_rng([24, n]).standard_normal(2 * n)
+        res = reduce(a, "jhsh", ReductionOptions(strategy=SeededStrategy(7)))
+        assert res.fallbacks_used == ((1, "odd_case_a"), (1, "odd_case_a_rotation"))
+        assert structure_report(res.h, 0.0).is_upper_j_hessenberg
+        assert res.red_err <= 1e-8 * spectral_norm(a)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_case_a_rotation_that_fails_is_a_breakdown(self, n):
+        driver = _Driver(self._diagonal(n), "jhsh", ReductionOptions(strategy=SeededStrategy(7)))
+        with pytest.raises(BreakdownError) as exc:
+            driver.run()
+        assert (exc.value.step, exc.value.substep, exc.value.kind) == (1, "odd", "ZeroNu")
+        assert driver.fallbacks == [(1, "odd_case_a"), (1, "odd_case_a_rotation")]
+
     def test_even_substep_fallback(self):
         # column 1 already reduced (odd step is the identity) while the even
         # pivot rows of column n+1 vanish: only the even rescue fires
@@ -787,16 +823,14 @@ class TestNumpyStateRestored:
         assert self._state() == before
 
     def test_caller_settings_come_back(self):
+        default = np.getbufsize()
         with np.errstate(over="raise"):
-            # numpy 1.x does not scope the buffer size to errstate
-            default = np.setbufsize(1024)
-            try:
-                before = self._state()
-                reduce(gen_family1(4), "jhmsh")
-                assert self._state() == before
-                assert before[0] == 1024 and before[1]["over"] == "raise"
-            finally:
-                np.setbufsize(default)
+            np.setbufsize(1024)  # errstate scopes the buffer size
+            before = self._state()
+            reduce(gen_family1(4), "jhmsh")
+            assert self._state() == before
+            assert before[0] == 1024 and before[1]["over"] == "raise"
+        assert np.getbufsize() == default
 
     def test_step_hook_runs_inside_the_scope(self):
         seen = []

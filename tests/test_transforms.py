@@ -718,6 +718,56 @@ class TestApply:
                 op(np.eye(4))
 
 
+class TestRefusals:
+    """Each record and builder refuses the arguments outside its contract
+    with ``ValueError``, naming the argument at fault."""
+
+    @pytest.mark.parametrize("offset", [-1, 2])
+    def test_sh_offset_outside_range(self, offset):
+        with pytest.raises(ValueError, match="offset"):
+            TransformSH(0.0, np.zeros(2), np.zeros(2), offset, 2)
+
+    @pytest.mark.parametrize("u, w", [(np.zeros(1), np.zeros(2)), (np.zeros(2), np.zeros(3)),
+                                      (np.zeros((2, 1)), np.zeros(2))])
+    def test_sh_direction_of_wrong_length(self, u, w):
+        with pytest.raises(ValueError, match="u and w"):
+            TransformSH(0.0, u, w, 0, 2)
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_vlh_k_outside_range(self, k):
+        with pytest.raises(ValueError, match="k must"):
+            TransformVLH(k, 0.0, np.zeros(3), 3)
+
+    def test_vlh_w_of_wrong_length(self):
+        with pytest.raises(ValueError, match="w must"):
+            TransformVLH(2, 0.0, np.zeros(3), 3)
+
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 2.0 / 5.0 * (1 + 1e-10)])
+    def test_vlh_beta_not_two_over_wtw(self, beta):
+        w = np.array([1.0, 2.0])  # w^T w = 5
+        TransformVLH(1, 2.0 / 5.0, w, 2)
+        with pytest.raises(ValueError, match="beta"):
+            TransformVLH(1, beta, w, 2)
+
+    @pytest.mark.parametrize("a", [np.zeros(3), np.zeros((2, 2)), np.zeros(0)])
+    def test_vector_not_one_dimensional_of_even_length(self, a):
+        for build in (lambda: vlh(1, a), lambda: vlg(1, a), lambda: osh2(a)):
+            with pytest.raises(ValueError, match="even length"):
+                build()
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_vlg_and_vlh_k_outside_range(self, k):
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        for build in (vlg, vlh):
+            with pytest.raises(ValueError, match="k must"):
+                build(k, a)
+
+    def test_right_apply_to_a_vector(self):
+        t = vlh(1, np.array([1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(ValueError, match="2-D"):
+            apply_right_adjoint(t, np.zeros(4))
+
+
 class TestRecordFields:
     # the corpus digest hashes every field of every transcript record, so
     # a field added, dropped or reordered changes its meaning

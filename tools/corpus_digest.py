@@ -156,7 +156,7 @@ def header() -> str:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         build = f"{blas['name']} {blas['version']}"
-    except (TypeError, KeyError):  # numpy < 1.25 has no dict mode
+    except KeyError:  # a build that does not name its BLAS
         build = "unknown"
     return f"# numpy {np.__version__}; blas {build}; core {blas_core()}"
 
