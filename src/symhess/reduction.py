@@ -172,8 +172,8 @@ class ReductionOptions:
 
 class BreakdownError(Exception):
     """Reduction aborted on a numerically zero pivot that no rescue cleared,
-    on a free parameter equal to a(1) of the working column (kind
-    ``InvalidParam``), or on a non-finite value (kind ``NonFinite``)."""
+    on a free parameter equal to a(1) of the working column or too far from
+    it (kind ``InvalidParam``), or on a non-finite value (kind ``NonFinite``)."""
 
     def __init__(self, step: int, substep: str, kind: str, pivot_value: float):
         self.step = step
@@ -342,9 +342,10 @@ class _Driver:
         ``general(sub, param, tol)``; on a zero pivot the next rescue is
         applied and the build retried.  A zero active column (the
         ``degenerate`` rescue) needs no elimination.  A free parameter the
-        build refuses (mu equal to a(1) of the working column, which the
-        caller cannot know past step 1) raises ``BreakdownError`` of kind
-        ``InvalidParam`` at once: no rescue changes a(1).
+        build refuses (mu equal to a(1) of the working column or too far from
+        it, which the caller cannot know past step 1) raises
+        ``BreakdownError`` of kind ``InvalidParam`` at once: no rescue
+        changes a(1).
         """
         tol = self.opts.pivot_tol
         rescues = self._rescues(j, substep, col, row0)

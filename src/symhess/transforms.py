@@ -215,9 +215,9 @@ def _sh1(av: np.ndarray, rho: float, norm: float, tol: float) -> TransformSH:
 def sh2(a, mu: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     """T with T e1 = e1 and T a = mu e1 + nu e_{n+1}, where nu = a(n+1).
 
-    mu is a free finite scalar different from a(1).  In the 2-dimensional
-    space (n == 1) there is nothing to eliminate and the identity is
-    returned.
+    mu is a free finite scalar different from a(1), near enough to it that
+    nu (a(1) - mu) is finite.  In the 2-dimensional space (n == 1) there is
+    nothing to eliminate and the identity is returned.
     """
     av = _as_vector(a)
     if not math.isfinite(mu):
@@ -234,6 +234,8 @@ def sh2(a, mu: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     v[0] += mu
     v[m] += nu  # exactly zero: T keeps the (n+1)-th coordinate fixed
     c = -1.0 / (nu * (av[0] - mu))
+    if c == 0.0:  # nu (a(1) - mu) overflowed: T would be the identity
+        raise InvalidParam(f"mu too far from a(1): nu (a(1) - mu) overflows, got {mu!r}")
     return TransformSH(float(c), v[:m], v[m:], 0, m)
 
 

@@ -99,10 +99,24 @@ class TestReduce:
         assert run_cli("reduce", path, "--algo", "jhmsh") == 3
         assert "ASCII" in capsys.readouterr().err
 
-    def test_unknown_algo_exits_2(self, tmp_path):
+    def test_unknown_algo_exits_2(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the name must be checked before the file is read")
+
         path = tmp_path / "m.txt"
         write_matrix(path, np.eye(4))
+        monkeypatch.setattr(symhess.cli, "read_matrix", refuse)
         assert run_cli("reduce", path, "--algo", "qr") == 2
+
+    def test_algo_name_in_any_case(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        write_matrix(path, gen_family1(4))
+        assert run_cli("reduce", path, "--algo", "jhmsh2") == 0
+        lower = capsys.readouterr().out
+        assert run_cli("reduce", path, "--algo", "JHMSH2") == 0
+        assert capsys.readouterr().out == lower
+        assert [line.split("=")[0] for line in lower.splitlines()] == [
+            "orth_loss", "red_err", "fallbacks"]
 
     def test_seeded_strategy(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
@@ -415,9 +429,14 @@ class TestExperiment:
         assert code == 0
         assert out.read_text().startswith("| n | variant |")
 
-    def test_invalid_algo_exits_2(self):
-        assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 3,
-                       "--algos", "nope") == 2
+    def test_invalid_algo_exits_2(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the names must be checked before any reduction")
+
+        monkeypatch.setattr(symhess.experiments, "reduce", refuse)
+        for algos in ("nope", "jhmsh,nope"):
+            assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 3,
+                           "--algos", algos) == 2
 
     def test_unknown_family_exits_2(self, capsys):
         assert run_cli("experiment", "--family", 3, "--n-min", 2, "--n-max", 3,
@@ -437,9 +456,16 @@ class TestExperiment:
                        "--algos", ",") == 2
         assert "at least one algo" in capsys.readouterr().err
 
-    def test_algo_names_are_case_sensitive(self):
-        assert run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 3,
-                       "--algos", "JHMSH") == 2
+    def test_algo_names_in_any_case(self, capsys):
+        # run_sweep names the variants as reduce does, and labels each row
+        # with the name as given
+        code = run_cli("experiment", "--family", 1, "--n-min", 2, "--n-max", 3,
+                       "--algos", "jhmsh,JHMSH")
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["2", "jhmsh"], ["2", "JHMSH"], ["3", "jhmsh"], ["3", "JHMSH"]]
+        assert lines[1].split(",")[2:] == lines[2].split(",")[2:]
 
     def test_bad_format_exits_2_before_sweeping(self, monkeypatch):
         def refuse(*args):

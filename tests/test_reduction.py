@@ -436,6 +436,18 @@ class TestBreakdowns:
         assert exc.value.pivot_value == 0.0
         assert driver.fallbacks == [(1, "odd_case_a")]  # no rescue after the collision
 
+    def test_mu_too_far_from_the_working_column_is_a_breakdown(self):
+        # nu (a(1) - mu) = 1e150 * -1e160 overflows, so sh2's c = -1 / it is 0
+        # and the step-1 record would be the identity, ignoring mu
+        a = np.random.default_rng(5).standard_normal((6, 6))
+        a[3, 0] = 1e150
+        opts = ReductionOptions(strategy=FixedStrategy(rhos=(1.0, 1.0), mus=(1e160, 1.0)))
+        driver = _Driver(a, "jhsh", opts)
+        with pytest.raises(BreakdownError) as exc:
+            driver.run()
+        assert (exc.value.step, exc.value.substep, exc.value.kind) == (1, "odd", "InvalidParam")
+        assert driver.fallbacks == []
+
 
 class TestContract:
     @pytest.mark.parametrize("variant", VARIANTS)

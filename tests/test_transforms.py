@@ -101,6 +101,13 @@ class TestSh2:
         with pytest.raises(InvalidParam):
             sh2(np.array([1.0, 2.0, 3.0, 4.0]), mu)
 
+    def test_rejects_mu_whose_record_is_the_identity(self):
+        # nu (a(1) - mu) = 1e150 * -1e160 overflows, so c = -1 / it is 0 and
+        # the record would map a to itself; the multiply warns outside the
+        # driver's error state
+        with np.errstate(over="ignore"), pytest.raises(InvalidParam):
+            sh2(np.array([1.0, 2.0, 3.0, 1e150, 5.0, 6.0]), 1e160)
+
     def test_direction_pairing_entry_is_exactly_zero(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -132,6 +139,20 @@ class TestOsh1:
 
     def test_zero_vector_gives_identity(self):
         assert osh1(np.zeros(4)).is_identity
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("m", [2, 5, 20])
+    def test_is_sh1_at_the_minimum_condition_rho(self, m, strided):
+        # osh1 is the general builder at rho = sign(a(1)) ||a||_2, bit for bit
+        def bits(x):
+            return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.uint64).tolist()
+        rng = np.random.default_rng([23, m])
+        for _ in range(20):
+            matrix = rng.standard_normal((2 * m, 3))  # C-ordered: columns are strided
+            a = matrix[:, 1] if strided else matrix[:, 1].copy()
+            expected, got = sh1(a, np.sign(a[0]) * np.linalg.norm(a)), osh1(a)
+            for field in dataclasses.fields(TransformSH):
+                assert bits(getattr(got, field.name)) == bits(getattr(expected, field.name)), field.name
 
     def test_overflowing_norm_breaks_down(self):
         # rho = ||a|| = inf: the pivot test reports it before sh1 refuses
