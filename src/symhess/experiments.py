@@ -106,7 +106,8 @@ def run_sweep(family: int, n_min: int, n_max: int, variants: list[str],
         raise ValueError("need 2 <= n_min <= n_max")
     if opts is None:
         opts = ReductionOptions()
-    algorithms = [_algorithm(variant, opts) for variant in variants]  # names checked up front
+    # every name, and opts, checked before anything is reduced
+    algorithms = [_algorithm(variant, opts) for variant in variants]
     rows: list[SweepRow] = []
     for n in range(n_min, n_max + 1):
         a = FamilySpec(family, n).generate()

@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -216,15 +217,15 @@ def _lcg_draws(seed: int):
 
 
 def _free_params(strategy: ParamStrategy, n: int):
-    """Per-step (mu, rho) pairs of a run, or None for the optimal choices."""
+    """The free parameters of a run in the order its SH sub-steps take them,
+    mu then rho at each step, or None for the optimal choices."""
     if isinstance(strategy, OptimalStrategy):
         return None
     if isinstance(strategy, FixedStrategy):
         if len(strategy.mus) < n - 1 or len(strategy.rhos) < n - 1:
             raise ValueError(f"fixed strategy needs at least {n - 1} rho and mu values")
-        return zip(strategy.mus, strategy.rhos)
-    draws = _lcg_draws(strategy.seed)
-    return zip(draws, draws)  # zip pulls mu, then rho, from the one stream
+        return chain.from_iterable(zip(strategy.mus, strategy.rhos))
+    return _lcg_draws(strategy.seed)
 
 
 def _vlg_lowering(k: int, a: np.ndarray) -> SymplecticTransform:
@@ -336,18 +337,19 @@ class _Driver:
             yield "case_a_rotation"
 
     def _eliminate_sh(self, j: int, substep: str, col: int, row0: int,
-                      optimal, general, param: float | None) -> None:
+                      optimal, general) -> None:
         """Symplectic-Householder elimination of the active part of a column,
-        built by ``optimal(sub, tol)`` or, given a free parameter, by
-        ``general(sub, param, tol)``; on a zero pivot the next rescue is
-        applied and the build retried.  A zero active column (the
-        ``degenerate`` rescue) needs no elimination.  A free parameter the
-        build refuses (mu equal to a(1) of the working column or too far from
-        it, which the caller cannot know past step 1) raises
-        ``BreakdownError`` of kind ``InvalidParam`` at once: no rescue
+        built by ``optimal(sub, tol)`` or, when the run takes free parameters,
+        by ``general(sub, param, tol)`` with the next one drawn; on a zero
+        pivot the next rescue is applied and the build retried.  A zero
+        active column (the ``degenerate`` rescue) needs no elimination.  A
+        free parameter the build refuses (mu equal to a(1) of the working
+        column or too far from it, which the caller cannot know past step 1)
+        raises ``BreakdownError`` of kind ``InvalidParam`` at once: no rescue
         changes a(1).
         """
         tol = self.opts.pivot_tol
+        param = None if self.params is None else next(self.params)
         rescues = self._rescues(j, substep, col, row0)
         while True:
             sub = self._subcolumn(col, row0)
@@ -366,10 +368,10 @@ class _Driver:
             self._check_finite(j, substep, col)  # a rescue can overflow it
         self.similarity(embed(t, row0 - 1, self.n))
 
-    def _even_sh(self, j: int, rho: float | None) -> None:
-        self._eliminate_sh(j, "even", self.n + j, j + 1, osh1, sh1, rho)
+    def _even_sh(self, j: int) -> None:
+        self._eliminate_sh(j, "even", self.n + j, j + 1, osh1, sh1)
 
-    def _even_givens(self, j: int, _rho) -> None:
+    def _even_givens(self, j: int) -> None:
         """The similarities by vlg(k, column n+j), k = n down to j+1, as one
         ``vlg_sweep`` record, then one reflector.
 
@@ -395,7 +397,7 @@ class _Driver:
         if j <= n - 2:
             self.similarity(vlh(j + 1, self.A[:, col - 1]))
 
-    def _even_compact(self, j: int, _rho) -> None:
+    def _even_compact(self, j: int) -> None:
         n, col = self.n, self.n + j
         if j <= n - 2:
             self._lower_reflector(col, j + 1)
@@ -413,12 +415,11 @@ class _Driver:
         with np.errstate(all="ignore"):
             np.setbufsize(_UFUNC_BUFSIZE)
             for j in range(1, n):
-                mu, rho = (None, None) if self.params is None else next(self.params)
                 self._check_finite(j, "odd", j)
-                self._eliminate_sh(j, "odd", j, j, osh2, sh2, mu)
+                self._eliminate_sh(j, "odd", j, j, osh2, sh2)
                 self._zero_targets(j, j, j)
                 self._check_finite(j, "even", n + j)
-                self.even_substep(self, j, rho)
+                self.even_substep(self, j)
                 self._zero_targets(j, n + j, j + 1)
                 if step_hook is not None:
                     step_hook(j, self.A)
@@ -455,11 +456,13 @@ VARIANTS = tuple(_VARIANT_TABLE)
 
 def _algorithm(variant: str, opts: ReductionOptions):
     """The (even sub-step, parameter strategy) pair a run of ``variant``,
-    named case-insensitively, executes under ``opts``.
+    named case-insensitively, executes under ``opts``, a ``ReductionOptions``.
 
     Two variants with equal pairs compute the same result: ``jhsh`` under
     ``OptimalStrategy`` is ``jhosh``.
     """
+    if not isinstance(opts, ReductionOptions):
+        raise TypeError(f"opts must be a ReductionOptions, got {type(opts).__name__}")
     key = str(variant).lower()
     if key not in _VARIANT_TABLE:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")

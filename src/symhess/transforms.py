@@ -375,15 +375,6 @@ def _half(t: SymplecticTransform, size: int | None = None, axis: str = "") -> in
     return t.n
 
 
-# Elements per row block of M in a right Givens apply.  The blocks buy
-# speed on wide sweeps: a right apply of a 199-plane sweep to a 400x400
-# matrix took 0.31 ms blocked and 0.61 ms in one piece, of a 999-plane
-# sweep to a 2000x2000 one 6.3 ms against 10.3 ms (numpy 2.4, ufunc buffer
-# 256, one Xeon core).  They do not set a reduction's memory peak, which
-# its metric phase does: jhmsh at n = 200 traced 4.7096 MiB either way.
-_ROTATE_BLOCK = 8192
-
-
 def _rotate_in_place(c, s, x, y) -> None:
     """Overwrite x and y with the Givens pairs (c x + s y, c y - s x),
     elementwise with broadcasting: each result is the rounded sum of the
@@ -436,9 +427,9 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
     halves (-w, u) negate its sums, which flips signs of zero).  Its row
     v'^J M^T is formed as w lo + u up and its lower product is scaled by
     -c: negation is exact and a - b is a + (-b), so this rounds as the
-    halves (w, -u) do, signs of zero included.  The orthogonal kinds are
-    their own (T^J)^T; a Givens record goes through M in row blocks of
-    ``_ROTATE_BLOCK`` elements, a VLH record takes M whole.
+    halves (w, -u) do, signs of zero included.  The orthogonal kinds,
+    Givens and VLH, are their own (T^J)^T: the left arithmetic runs on M^T
+    whole.
     """
     if m.ndim != 2:
         raise ValueError("right application expects a 2-D matrix")
@@ -450,10 +441,6 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
         row = t.w @ lo + t.u @ up
         _add_outer(up, t.c, t.w, row)
         _add_outer(lo, -t.c, t.u, row)
-    elif isinstance(t, TransformGivens):
-        step = max(1, _ROTATE_BLOCK // t.c.size)
-        for r in range(0, len(m), step):
-            _left_rows(t, m[r:r + step].T, n)
     else:
         _left_rows(t, m.T, n)
 

@@ -112,9 +112,6 @@ def right_adjoint_reference(t, m) -> None:
     """In-place M <- M T^J by the right-apply arithmetic the library used
     before its right apply ran the left arithmetic on M^T, kept as the
     reference that pins its rounding, signs of zero included.
-
-    The library rotates a tall M in row blocks; a Givens rotation is
-    elementwise, so the blocks do not change its rounding and are left out.
     """
     n = t.n
     if t.is_identity:

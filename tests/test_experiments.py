@@ -150,6 +150,14 @@ class TestRunSweep:
             run_sweep(1, 2, 3, ["jhmsh", "nope"])
         assert reduce_calls == []
 
+    @pytest.mark.parametrize("variant", ["jhsh", "jhmsh"])
+    @pytest.mark.parametrize("bad", [{"pivot_tol": 0.1}, "default", 0.1],
+                             ids=["dict", "str", "float"])
+    def test_opts_not_options_rejected_before_any_reduction(self, reduce_calls, bad, variant):
+        with pytest.raises(TypeError, match=f"ReductionOptions, got {type(bad).__name__}$"):
+            run_sweep(1, 2, 3, [variant], bad)
+        assert reduce_calls == []
+
 
 class TestSweepSharesReductions:
     @pytest.mark.parametrize("opts", [ReductionOptions(), SEEDED], ids=["optimal", "seeded"])

@@ -27,7 +27,7 @@ from symhess import (
 
 from oracles import adjoint_mat, adjoint_record, densify, j_inner, right_adjoint_reference
 from symhess.reduction import _vlg_lowering
-from symhess.transforms import _ROTATE_BLOCK, _vlh_from_segment
+from symhess.transforms import _vlh_from_segment
 
 
 def mapped(t, a):
@@ -426,10 +426,9 @@ class TestGivensRounding:
             (vlg(2, rng.standard_normal(10)), 7),
             (vlg_sweep(2, rng.standard_normal(10)), 7),
             (TransformGivens(1, np.array([1.0, 0.6, 0.0]), np.array([0.0, -0.8, 1.0]), 5), 7),
-            # 99 planes on 250 rows: the right apply takes several row blocks
+            # a wide sweep, 99 planes, right-applied to a tall matrix
             (vlg_sweep(2, np.random.default_rng(3501).standard_normal(200)), 250),
         )
-        assert 250 > 2 * (_ROTATE_BLOCK // 99)
         for t, rows in records:
             n, k = t.n, t.k0 - 1
             up, lo = slice(k, k + t.c.size), slice(n + k, n + k + t.c.size)
