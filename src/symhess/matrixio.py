@@ -33,12 +33,10 @@ def write_matrix(path, m) -> None:
     and complex input, with ``ValueError`` before the path is opened.
 
     An existing regular file is overwritten in place and then cut to the
-    new length, never truncated first: on filesystems that discard freed
-    blocks, truncating a file that was just written costs far more than
-    writing it.  The header goes in last, over a blank placeholder of its
-    length, so a write that stops part-way leaves a file the reader
-    rejects.  Other targets (a pipe, a device) get the header, then the
-    rows.
+    new length, never truncated first, and the header goes in last, over
+    a blank placeholder of its length: a write that stops part-way leaves
+    a file the reader rejects.  Other targets (a pipe, a device) get the
+    header, then the rows.
     """
     a = _as_matrix(m)
     if not np.all(np.isfinite(a)):

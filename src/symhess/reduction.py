@@ -48,6 +48,7 @@ so replaying the transcript outside ``reduce`` rebuilds S bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import chain
@@ -61,8 +62,9 @@ from .transforms import (
     Breakdown,
     InvalidParam,
     SymplecticTransform,
+    TransformGivens,
+    _left_rows,
     _norm,
-    _rotate_in_place,
     _rotations,
     _vlh_from_segment,
     apply_left,
@@ -164,8 +166,12 @@ class ReductionOptions:
         if not isinstance(self.strategy, ParamStrategy):
             raise ValueError(f"strategy must be an OptimalStrategy, FixedStrategy or "
                              f"SeededStrategy, got {self.strategy!r}")
-        if not (math.isfinite(self.pivot_tol) and self.pivot_tol >= 0):
-            raise ValueError(f"pivot_tol must be finite and nonnegative, got {self.pivot_tol!r}")
+        tol = self.pivot_tol
+        # a bool would act as 0 or 1, and a float32 would overflow tol * ||a||
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real)
+                                         and math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"pivot_tol must be a finite nonnegative real, got {tol!r}")
+        object.__setattr__(self, "pivot_tol", float(tol))
         if not isinstance(self.breakdown_fallback, (bool, np.bool_)):
             raise ValueError(f"breakdown_fallback must be a bool, got {self.breakdown_fallback!r}")
         object.__setattr__(self, "breakdown_fallback", bool(self.breakdown_fallback))
@@ -379,21 +385,23 @@ class _Driver:
         with row plane p and column plane q its left rotation first when
         p >= q and its right rotation first when p < q.  The record applies
         left first throughout, so the p < q blocks of the active square are
-        recomputed right-then-left: one copy of the square, saved before the
-        record, is rotated in place by the same rounding as every Givens
-        apply and written back through the p < q mask.  H equals that of
-        the one-by-one sweep bit for bit.
+        recomputed right-then-left: a copy of the square saved before the
+        record, viewed as a 2m-by-2m matrix (m = n - j), is rotated by the
+        sweep's planes as a record of that space (by the kernel, not the
+        applies: it is no similarity of A) and written back through the
+        p < q mask.  H equals that of the one-by-one sweep bit for bit.
         """
-        n, col = self.n, self.n + j
+        n, col, m = self.n, self.n + j, self.n - j
         t = vlg_sweep(j + 1, self.A[:, col - 1])
         # the active square as (row half, p, column half, q), a view of A
         square = self.A.reshape(2, n, 2, n)[:, j:, :, j:]
         saved = square.copy()
         self.similarity(t)
         if not t.is_identity:  # else the applies skipped it: A is as it was
-            _rotate_in_place(t.c, t.s, saved[:, :, 0], saved[:, :, 1])
-            _rotate_in_place(t.c[:, None, None], t.s[:, None, None], saved[0], saved[1])
-            np.copyto(square, saved, where=~np.tri(n - j, dtype=bool)[:, None, :])
+            planes, rotated = TransformGivens(1, t.c, t.s, m), saved.reshape(2 * m, 2 * m)
+            _left_rows(planes, rotated.T, m)  # the right rotations
+            _left_rows(planes, rotated, m)  # then the left ones
+            np.copyto(square, saved, where=~np.tri(m, dtype=bool)[:, None, :])
         if j <= n - 2:
             self.similarity(vlh(j + 1, self.A[:, col - 1]))
 

@@ -18,8 +18,9 @@ free parameter that minimizes the 2-norm condition number.  ``embed``
 pads an SH transform into a larger space with identity action on the
 leading coordinates of each half.
 
-Every apply runs one left arithmetic per kind on the rows of a matrix;
-``apply_right_adjoint`` runs it on the view M^T, as M T^J = ((T^J)^T M^T)^T.
+One function, ``_left_rows``, updates a matrix by a record, with one
+arithmetic per kind; ``apply_right_adjoint`` runs it on the view M^T, as
+M T^J = ((T^J)^T M^T)^T, with (T^J)^T itself a record of the same kind.
 The library never forms the dense matrix of a transform: that matrix is
 the tests' oracle, against which every apply is checked.
 """
@@ -375,19 +376,6 @@ def _half(t: SymplecticTransform, size: int | None = None, axis: str = "") -> in
     return t.n
 
 
-def _rotate_in_place(c, s, x, y) -> None:
-    """Overwrite x and y with the Givens pairs (c x + s y, c y - s x),
-    elementwise with broadcasting: each result is the rounded sum of the
-    same two rounded products, and only the two products that read the old
-    x and y are held, so x and y must not overlap."""
-    sy = s * y
-    sx = s * x
-    x *= c
-    x += sy
-    y *= c
-    y -= sx
-
-
 def _add_outer(block, scale: float, x, row) -> None:
     """block += scale * (x row^T), the outer product rounded before the
     scaling and laid out like ``block``: rows of M^T cost what M's do."""
@@ -398,15 +386,24 @@ def _add_outer(block, scale: float, x, row) -> None:
 
 def _left_rows(t: SymplecticTransform, m: np.ndarray, n: int) -> None:
     """M <- T M on the rows of a 2n-by-k matrix or view, unchecked: the one
-    arithmetic of every apply."""
+    code that updates a matrix by a record.  A right apply runs it on M^T."""
     if isinstance(t, TransformSH):
         up, lo = m[t.offset:n], m[n + t.offset:]  # the rows where v = (u, w) is nonzero
         row = t.u @ lo - t.w @ up  # v^J M on the support
         _add_outer(up, t.c, t.u, row)
         _add_outer(lo, t.c, t.w, row)
     elif isinstance(t, TransformGivens):
+        # rows (x, y) of each plane become (c x + s y, c y - s x), holding
+        # only the two products that read the old x and y
         k, size = t.k0 - 1, t.c.size
-        _rotate_in_place(t.c[:, None], t.s[:, None], m[k:k + size], m[n + k:n + k + size])
+        c, s = t.c[:, None], t.s[:, None]
+        x, y = m[k:k + size], m[n + k:n + k + size]
+        sy = s * y
+        sx = s * x
+        x *= c
+        x += sy
+        y *= c
+        y -= sx
     else:
         for block in (m[t.k - 1:n], m[n + t.k - 1:]):
             _add_outer(block, -t.beta, t.w, t.w @ block)
@@ -423,13 +420,9 @@ def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
 def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
     """In-place M <- M T^J, as M^T <- (T^J)^T M^T by the left arithmetic.
 
-    (T^J)^T is the SH transform with the halves (w, -u) of v' = J v (the
-    halves (-w, u) negate its sums, which flips signs of zero).  Its row
-    v'^J M^T is formed as w lo + u up and its lower product is scaled by
-    -c: negation is exact and a - b is a + (-b), so this rounds as the
-    halves (w, -u) do, signs of zero included.  The orthogonal kinds,
-    Givens and VLH, are their own (T^J)^T: the left arithmetic runs on M^T
-    whole.
+    The orthogonal kinds, Givens and VLH, are their own (T^J)^T.  For an SH
+    record (T^J)^T = I + c (J v) v^T, the SH record with the halves
+    (w, -u) of J v.
     """
     if m.ndim != 2:
         raise ValueError("right application expects a 2-D matrix")
@@ -437,12 +430,8 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
     if t.is_identity:
         return
     if isinstance(t, TransformSH):
-        up, lo = m[:, t.offset:n].T, m[:, n + t.offset:].T
-        row = t.w @ lo + t.u @ up
-        _add_outer(up, t.c, t.w, row)
-        _add_outer(lo, -t.c, t.u, row)
-    else:
-        _left_rows(t, m.T, n)
+        t = TransformSH(t.c, t.w, -t.u, t.offset, n)
+    _left_rows(t, m.T, n)
 
 
 def cond2(t: SymplecticTransform) -> float:

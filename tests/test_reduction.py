@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -133,6 +134,25 @@ class TestInputValidation:
         # refused by name, not with an AttributeError from inside the driver
         with pytest.raises(TypeError, match=f"ReductionOptions, got {type(bad).__name__}$"):
             reduce(np.eye(4), variant, bad)
+
+    @pytest.mark.parametrize("bad", [True, np.True_, False, "0.1", None, [0.1]],
+                             ids=["True", "np.True_", "False", "str", "None", "list"])
+    def test_pivot_tol_that_is_not_a_real_number_rejected(self, bad):
+        # True used to act as a tolerance of 1.0 and break down at step 1;
+        # the others raised TypeError from math.isfinite
+        with pytest.raises(ValueError, match=f"pivot_tol .*got {re.escape(repr(bad))}$"):
+            ReductionOptions(pivot_tol=bad)
+
+    def test_pivot_tol_is_stored_as_a_float(self):
+        # a float32 tolerance kept as float32 formed tol * ||a|| in float32,
+        # which overflowed at this scale and broke down at step 1
+        a = np.random.default_rng(0).standard_normal((8, 8)) * 1e40
+        opts = ReductionOptions(pivot_tol=np.float32(2.0 ** -26))
+        assert type(opts.pivot_tol) is float and opts.pivot_tol == 2.0 ** -26
+        expect = reduce(a, "jhmsh", ReductionOptions(pivot_tol=2.0 ** -26))
+        res = reduce(a, "jhmsh", opts)
+        assert np.array_equal(res.h, expect.h) and np.array_equal(res.s, expect.s)
+        assert res.red_err <= 1e-12 * spectral_norm(a)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_fixed_strategy_rejects_nonfinite(self, bad):

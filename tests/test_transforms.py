@@ -461,6 +461,8 @@ class TestRightApplyRounding:
         col = rng.standard_normal(2 * n)
         col[[2, n + 3]] = 0.0, -0.0  # zero entries in the directions
         sub = np.concatenate((col[2:n], col[n + 2:]))  # 2(n - 2) entries
+        tiny = col.copy()
+        tiny[[1, 4, n + 2]] *= 1e-310  # subnormal entries in the direction
         zeros = np.zeros(2 * n)
         records = [
             embed(sh1(sub, 1.5), 2, n),
@@ -468,6 +470,7 @@ class TestRightApplyRounding:
             embed(osh1(sub), 2, n),
             embed(osh2(sub), 2, n),
             osh2(col),
+            osh2(tiny),
             vlh(2, col),
             _vlh_from_segment(3, col[n + 2:], n),
             vlg(3, col),
@@ -491,8 +494,13 @@ class TestRightApplyRounding:
             planted = rng.random(m.shape) < 0.3
             m[planted] = np.where(rng.random(planted.sum()) < 0.5, 0.0, -0.0)
             m[1] = np.where(rng.random(2 * cls.N) < 0.5, 0.0, -0.0)  # a row of signed zeros
-            yield m
-            yield np.asfortranarray(m)
+            # as drawn, with subnormal entries (about 1e-310), and scaled
+            # near 1e150, where the products stay finite
+            subnormal = m.copy()
+            subnormal[rng.random(m.shape) < 0.3] *= 1e-310
+            for x in (m, subnormal, m * 1e150):
+                yield x
+                yield np.asfortranarray(x)
 
     def test_right_apply_matches_the_reference_bit_for_bit(self):
         rng = np.random.default_rng(1700)
@@ -501,6 +509,7 @@ class TestRightApplyRounding:
                 out, expect = m.copy(order="K"), m.copy(order="K")
                 apply_right_adjoint(t, out)
                 right_adjoint_reference(t, expect)
+                assert np.isfinite(out).all()
                 assert np.array_equal(out.view(np.uint64), expect.view(np.uint64)), t
 
 
