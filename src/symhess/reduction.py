@@ -30,10 +30,11 @@ short chain of orthogonal transforms moves upper-block mass onto the pivot
 row (case A), followed if needed by one rotation moving the diagonal entry
 down.  The chain is applied to the working matrix member by member, like
 every other transform; its first two members are both built from the
-column as it stands.  A zero active column needs no elimination and the
-sub-step is skipped.  An odd sub-step is rescued only at j = 1 or when
-H12(j, j-1) = 0: otherwise any symplectic transform keeping column n+j-1 in
-form maps e_j to a multiple of itself, so the pivot stays zero, and a
+column as it stands.  A zero active column needs no elimination: its SH
+sub-step records the identity in every variant, neither a rescue nor a
+breakdown.  An odd sub-step is rescued only at j = 1 or when
+H12(j, j-1) = 0: otherwise any symplectic transform keeping column n+j-1
+in form maps e_j to a multiple of itself, so the pivot stays zero, and a
 rescue would only break the form.  A breakdown no rescue clears raises
 ``BreakdownError``, and so does a non-finite working column or metric
 (kind ``NonFinite``): a run never returns NaN or infinity as a result.
@@ -103,6 +104,12 @@ __all__ = [
 _UFUNC_BUFSIZE = 256
 
 
+def _not_bool(value, name: str):
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must not be a bool, which acts as 1 or 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OptimalStrategy:
     """Free parameters chosen to minimize each transform's condition number."""
@@ -110,15 +117,15 @@ class OptimalStrategy:
 
 @dataclass(frozen=True)
 class FixedStrategy:
-    """Explicit per-step parameter lists of finite values, every rho
-    nonzero; entry j-1 is used at step j."""
+    """Explicit per-step parameter lists of finite values, not bools, every
+    rho nonzero; entry j-1 is used at step j."""
 
     rhos: tuple[float, ...]
     mus: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rhos", tuple(float(r) for r in self.rhos))
-        object.__setattr__(self, "mus", tuple(float(m) for m in self.mus))
+        object.__setattr__(self, "rhos", tuple(float(_not_bool(r, "rho")) for r in self.rhos))
+        object.__setattr__(self, "mus", tuple(float(_not_bool(m, "mu")) for m in self.mus))
         if not all(map(math.isfinite, self.rhos + self.mus)):
             raise ValueError("fixed strategy rho and mu values must be finite")
         if 0.0 in self.rhos:
@@ -133,15 +140,15 @@ class SeededStrategy:
     c = 1442695040888963407) restarted from ``seed`` at the beginning of
     every reduction; each step draws twice, mu before rho.  ``seed`` is an
     integer in 0..2^64-1 that ``operator.index`` accepts, numpy integers
-    included; the state keeps 64 bits, so any other seed would repeat one
-    of these and is refused.
+    included and bools not; the state keeps 64 bits, so any other seed
+    would repeat one of these and is refused.
     """
 
     seed: int
 
     def __post_init__(self):
         try:
-            seed = operator.index(self.seed)
+            seed = operator.index(_not_bool(self.seed, "seed"))
         except TypeError:
             raise ValueError(f"seeded strategy needs an integer seed, got {self.seed!r}") from None
         if not 0 <= seed < 2 ** 64:
@@ -166,10 +173,9 @@ class ReductionOptions:
         if not isinstance(self.strategy, ParamStrategy):
             raise ValueError(f"strategy must be an OptimalStrategy, FixedStrategy or "
                              f"SeededStrategy, got {self.strategy!r}")
-        tol = self.pivot_tol
-        # a bool would act as 0 or 1, and a float32 would overflow tol * ||a||
-        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real)
-                                         and math.isfinite(tol) and tol >= 0):
+        tol = _not_bool(self.pivot_tol, "pivot_tol")
+        # a float32 would overflow tol * ||a||
+        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
             raise ValueError(f"pivot_tol must be a finite nonnegative real, got {tol!r}")
         object.__setattr__(self, "pivot_tol", float(tol))
         if not isinstance(self.breakdown_fallback, (bool, np.bool_)):
@@ -300,8 +306,6 @@ class _Driver:
         docstring).  The pivot is row n+row0 of the column, and the norm of
         the active part {row0..n, n+row0..2n} sets the scale:
 
-        * ``degenerate``: the active part is zero; an identity reflector is
-          recorded and there is nothing to eliminate.
         * ``case_b``: a lower-segment entry beyond the pivot exceeds
           ``pivot_tol`` times the scale; one reflector concentrates the
           lower segment onto the pivot row.
@@ -314,17 +318,13 @@ class _Driver:
           down.
         """
         n = self.n
-        if not self.opts.breakdown_fallback:
-            return
-        if substep == "odd" and j > 1 and self.A[j - 1, n + j - 2] != 0.0:
+        odd_refused = substep == "odd" and j > 1 and self.A[j - 1, n + j - 2] != 0.0
+        if not self.opts.breakdown_fallback or odd_refused:
             return
         # a view: it follows A through every similarity below
         column = self.A[:, col - 1]
         scale = _norm(self._subcolumn(col, row0))
-        if scale == 0.0:
-            self.similarity(vlh(row0, column))
-            yield "degenerate"
-        elif np.any(np.abs(column[n + row0:]) > self.opts.pivot_tol * scale):
+        if np.any(np.abs(column[n + row0:]) > self.opts.pivot_tol * scale):
             self._lower_reflector(col, row0)
             yield "case_b"
         else:
@@ -334,9 +334,8 @@ class _Driver:
             # earlier columns keep their form.  The last member is built
             # from the column after both are applied, as in case B.
             if row0 < n:
-                reflector, rotation = vlh(row0 + 1, column), _vlg_lowering(row0 + 1, column)
-                self.similarity(reflector)
-                self.similarity(rotation)
+                for t in (vlh(row0 + 1, column), _vlg_lowering(row0 + 1, column)):
+                    self.similarity(t)
             self._lower_reflector(col, row0)
             yield "case_a"
             self.similarity(_vlg_lowering(row0, column))
@@ -348,10 +347,11 @@ class _Driver:
         built by ``optimal(sub, tol)`` or, when the run takes free parameters,
         by ``general(sub, param, tol)`` with the next one drawn; on a zero
         pivot the next rescue is applied and the build retried.  A zero
-        active column (the ``degenerate`` rescue) needs no elimination.  A
-        free parameter the build refuses (mu equal to a(1) of the working
-        column or too far from it, which the caller cannot know past step 1)
-        raises ``BreakdownError`` of kind ``InvalidParam`` at once: no rescue
+        active part needs no elimination: it takes ``optimal``'s identity
+        record in every run, and its drawn parameter goes unused.  A free
+        parameter the build refuses (mu equal to a(1) of the working column
+        or too far from it, which the caller cannot know past step 1) raises
+        ``BreakdownError`` of kind ``InvalidParam`` at once: no rescue
         changes a(1).
         """
         tol = self.opts.pivot_tol
@@ -360,7 +360,9 @@ class _Driver:
         while True:
             sub = self._subcolumn(col, row0)
             try:
-                t = optimal(sub, tol) if param is None else general(sub, param, tol)
+                # osh2/osh1 return the identity record for a zero active part
+                free = param is not None and sub.any()
+                t = general(sub, param, tol) if free else optimal(sub, tol)
                 break
             except InvalidParam as exc:
                 raise BreakdownError(j, substep, "InvalidParam", 0.0) from exc
@@ -369,8 +371,6 @@ class _Driver:
                 if case is None:
                     raise BreakdownError(j, substep, exc.kind, exc.pivot_value) from exc
             self.fallbacks.append((j, f"{substep}_{case}"))
-            if case == "degenerate":
-                return
             self._check_finite(j, substep, col)  # a rescue can overflow it
         self.similarity(embed(t, row0 - 1, self.n))
 

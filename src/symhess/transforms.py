@@ -255,13 +255,12 @@ def osh1(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
 def osh2(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     """sh2 with the minimum-condition choice mu = a(1) + xi.
 
-    xi is the norm of a over the indices {2..n, n+2..2n}; xi == 0 means the
-    eliminations are already done and the identity is returned.
+    xi is the norm of a over the indices {2..n, n+2..2n}, none when n == 1;
+    xi == 0 means the eliminations are already done and the identity is
+    returned.
     """
     av = _as_vector(a)
     m = av.size // 2
-    if m == 1:
-        return _identity_sh(m)
     tail = np.concatenate((av[1:m], av[m + 1:]))
     xi = _norm(tail)
     nu = av[m]

@@ -189,6 +189,24 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="strategy"):
             ReductionOptions(strategy=bad)
 
+    @pytest.mark.parametrize("bad", [True, False, np.True_, np.False_],
+                             ids=["True", "False", "np.True_", "np.False_"])
+    def test_bool_seeds_and_parameters_rejected(self, bad):
+        # True and False used to run as seed 1 and 0, and as parameters of
+        # 1.0 and 0.0
+        match = f"must not be a bool.*got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=f"seed {match}"):
+            SeededStrategy(bad)
+        with pytest.raises(ValueError, match=f"rho {match}"):
+            FixedStrategy(rhos=(1.0, bad), mus=(1.0, 1.0))
+        with pytest.raises(ValueError, match=f"mu {match}"):
+            FixedStrategy(rhos=(1.0, 1.0), mus=(bad, 1.0))
+
+    def test_integer_and_float_parameters_keep_their_values(self):
+        fixed = FixedStrategy(rhos=(1, np.int64(2)), mus=(np.float32(0.5), 0.1))
+        assert fixed.rhos == (1.0, 2.0) and fixed.mus == (0.5, 0.1)
+        assert all(type(x) is float for x in fixed.rhos + fixed.mus)
+
     @pytest.mark.parametrize("bad", [1.5, "7", None, np.float64(7.0)])
     def test_seeded_strategy_rejects_non_integer_seed(self, bad):
         with pytest.raises(ValueError, match="seed"):
@@ -644,16 +662,39 @@ class TestFallback:
         assert structure_report(res.h, 0.0).is_upper_j_hessenberg
         assert res.red_err <= 1e-12 * spectral_norm(a)
 
-    def test_zero_column_degenerates_to_identity(self):
-        # nothing to eliminate: an identity reflector is recorded and the
-        # odd sub-step is skipped
-        a = np.random.default_rng(0).standard_normal((6, 6))
-        a[:, 0] = 0.0
-        res = reduce(a, "jhsh", ReductionOptions(strategy=SeededStrategy(7)))
-        assert res.fallbacks_used == ((1, "odd_degenerate"),)
-        t = res.transcript[0]
-        assert isinstance(t, TransformVLH) and t.is_identity
-        assert structure_report(res.h, 0.0).is_upper_j_hessenberg
+    @staticmethod
+    def _zero_column_input(name):
+        n = 3
+        a = np.zeros((2 * n, 2 * n))
+        if name == "step2":
+            # column 1 needs no transform at step 1, and column 2 is still
+            # zero at step 2
+            a[:, 0] = [1.0, 0.0, 0.0, 2.0, 0.0, 0.0]
+            a[:, n] = np.random.default_rng(5).standard_normal(2 * n)
+        return a
+
+    @pytest.mark.parametrize("name", ["zero", "step2"])
+    @pytest.mark.parametrize("strategy", [
+        OptimalStrategy(), SeededStrategy(7), FixedStrategy((1.0, 1.0), (0.5, 0.5)),
+    ], ids=["optimal", "seeded7", "fixed"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_column_is_the_identity_record(self, variant, strategy, name):
+        # a column with nothing to eliminate gets the identity record in
+        # every variant, under every strategy: neither a rescue nor a
+        # breakdown, so the fallback flag changes nothing
+        a = self._zero_column_input(name)
+        outcomes = []
+        for fallback in (True, False):
+            opts = ReductionOptions(strategy=strategy, breakdown_fallback=fallback)
+            res = reduce(a, variant, opts)
+            assert res.fallbacks_used == ()
+            assert structure_report(res.h, 0.0).is_upper_j_hessenberg
+            assert res.red_err <= 1e-12 * max(spectral_norm(a), 1.0)
+            if name == "zero":
+                assert all(t.is_identity for t in res.transcript)
+                assert isinstance(res.transcript[0], TransformSH)
+            outcomes.append(_outcome(variant, a, opts))
+        assert outcomes[0] == outcomes[1]
 
     def test_case_a_moves_upper_mass_to_pivot_row(self):
         # a family column has no lower-segment mass: the case-A chain (two
