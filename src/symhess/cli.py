@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (_ShapeError, reduction_residual, spectral_norm, structure_report,
                    symplecticity_residual)
-from .experiments import FamilySpec, emit_table, run_sweep
+from .experiments import _generator, emit_table, run_sweep
 from .matrixio import MatrixFormatError, read_matrix, write_matrix
 from .reduction import (
     DEFAULT_BREAKDOWN_TOL,
@@ -101,7 +101,7 @@ _EXIT_CODES = {
 
 
 def _gen(args) -> int:
-    write_matrix(args.out, FamilySpec(args.family, args.n).generate())
+    write_matrix(args.out, _generator(args.family)(args.n))
     return EXIT_OK
 
 

@@ -4,7 +4,7 @@ Two integer-valued 2n-by-2n families exercise the reduction drivers; both
 put a zero in the step-1 pivot position (the first column of the lower
 left block), which defeats plain symplectic-Householder elimination and
 forces the orthogonal fallback.  Family 2 is Hamiltonian: J A is
-symmetric.
+symmetric.  ``_generator`` is the one reader of a family number.
 """
 
 from __future__ import annotations
@@ -16,30 +16,12 @@ import numpy as np
 from .reduction import BreakdownError, ReductionOptions, _algorithm, reduce
 
 __all__ = [
-    "FamilySpec",
     "SweepRow",
     "gen_family1",
     "gen_family2",
     "run_sweep",
     "emit_table",
 ]
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A validated (family, n) pair; the one place family numbers are read."""
-
-    family: int
-    n: int
-
-    def __post_init__(self):
-        if self.family not in _GENERATORS:
-            raise ValueError("family must be " + " or ".join(map(str, _GENERATORS)))
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-
-    def generate(self) -> np.ndarray:
-        return _GENERATORS[self.family](self.n)
 
 
 def _m11(n: int) -> np.ndarray:
@@ -83,6 +65,13 @@ def gen_family2(n: int) -> np.ndarray:
 _GENERATORS = {1: gen_family1, 2: gen_family2}
 
 
+def _generator(family: int):
+    """The generator of a family number, which is 1 or 2, else ``ValueError``."""
+    if family not in _GENERATORS:
+        raise ValueError("family must be " + " or ".join(map(str, _GENERATORS)))
+    return _GENERATORS[family]
+
+
 @dataclass(frozen=True)
 class SweepRow:
     n: int
@@ -100,17 +89,18 @@ def run_sweep(family: int, n_min: int, n_max: int, variants: list[str],
     Breakdowns are recorded per row rather than raised.  Variants that run
     the same algorithm (``jhsh`` under ``OptimalStrategy`` is ``jhosh``)
     are reduced once per size and share the outcome; each row keeps the
-    caller's label.
+    caller's label.  The sizes, every name, ``opts`` and the family are
+    checked, in that order, before any matrix is generated or reduced.
     """
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
     if opts is None:
         opts = ReductionOptions()
-    # every name, and opts, checked before anything is reduced
     algorithms = [_algorithm(variant, opts) for variant in variants]
+    generate = _generator(family)
     rows: list[SweepRow] = []
     for n in range(n_min, n_max + 1):
-        a = FamilySpec(family, n).generate()
+        a = generate(n)
         outcomes: dict = {}
         for variant, algorithm in zip(variants, algorithms):
             if algorithm not in outcomes:

@@ -104,9 +104,12 @@ __all__ = [
 _UFUNC_BUFSIZE = 256
 
 
-def _not_bool(value, name: str):
+def _real(value, name: str):
+    """``value`` if it is a ``numbers.Real`` and not a bool, else ``ValueError``."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must not be a bool, which acts as 1 or 0, got {value!r}")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
 
 
@@ -117,15 +120,16 @@ class OptimalStrategy:
 
 @dataclass(frozen=True)
 class FixedStrategy:
-    """Explicit per-step parameter lists of finite values, not bools, every
-    rho nonzero; entry j-1 is used at step j."""
+    """Explicit per-step parameter lists; entry j-1 is used at step j.  Each
+    is a finite ``numbers.Real``, not a bool or a string, stored as a float;
+    every rho is nonzero."""
 
     rhos: tuple[float, ...]
     mus: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rhos", tuple(float(_not_bool(r, "rho")) for r in self.rhos))
-        object.__setattr__(self, "mus", tuple(float(_not_bool(m, "mu")) for m in self.mus))
+        object.__setattr__(self, "rhos", tuple(float(_real(r, "rho")) for r in self.rhos))
+        object.__setattr__(self, "mus", tuple(float(_real(m, "mu")) for m in self.mus))
         if not all(map(math.isfinite, self.rhos + self.mus)):
             raise ValueError("fixed strategy rho and mu values must be finite")
         if 0.0 in self.rhos:
@@ -148,7 +152,7 @@ class SeededStrategy:
 
     def __post_init__(self):
         try:
-            seed = operator.index(_not_bool(self.seed, "seed"))
+            seed = operator.index(_real(self.seed, "seed"))
         except TypeError:
             raise ValueError(f"seeded strategy needs an integer seed, got {self.seed!r}") from None
         if not 0 <= seed < 2 ** 64:
@@ -173,11 +177,10 @@ class ReductionOptions:
         if not isinstance(self.strategy, ParamStrategy):
             raise ValueError(f"strategy must be an OptimalStrategy, FixedStrategy or "
                              f"SeededStrategy, got {self.strategy!r}")
-        tol = _not_bool(self.pivot_tol, "pivot_tol")
-        # a float32 would overflow tol * ||a||
-        if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0):
-            raise ValueError(f"pivot_tol must be a finite nonnegative real, got {tol!r}")
-        object.__setattr__(self, "pivot_tol", float(tol))
+        tol = float(_real(self.pivot_tol, "pivot_tol"))  # a float32 would overflow tol * ||a||
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValueError(f"pivot_tol must be a finite nonnegative real, got {self.pivot_tol!r}")
+        object.__setattr__(self, "pivot_tol", tol)
         if not isinstance(self.breakdown_fallback, (bool, np.bool_)):
             raise ValueError(f"breakdown_fallback must be a bool, got {self.breakdown_fallback!r}")
         object.__setattr__(self, "breakdown_fallback", bool(self.breakdown_fallback))
@@ -349,10 +352,10 @@ class _Driver:
         pivot the next rescue is applied and the build retried.  A zero
         active part needs no elimination: it takes ``optimal``'s identity
         record in every run, and its drawn parameter goes unused.  A free
-        parameter the build refuses (mu equal to a(1) of the working column
-        or too far from it, which the caller cannot know past step 1) raises
-        ``BreakdownError`` of kind ``InvalidParam`` at once: no rescue
-        changes a(1).
+        parameter the build refuses (a mu or rho equal to a(1) of the
+        working column, or a mu too far from it, which the caller cannot
+        know past step 1) raises ``BreakdownError`` of kind ``InvalidParam``
+        at once: no rescue changes a(1).
         """
         tol = self.opts.pivot_tol
         param = None if self.params is None else next(self.params)

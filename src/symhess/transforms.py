@@ -69,7 +69,7 @@ class Breakdown(Exception):
 
 
 class InvalidParam(ValueError):
-    """A free parameter is not finite or violates its constraint (rho = 0 or mu = a(1))."""
+    """A free parameter is not finite or violates its constraint (rho = 0, rho or mu = a(1))."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,12 +185,16 @@ def _norm(v: np.ndarray) -> float:
 def sh1(a, rho: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     """T with T a = rho e1; rho is a free finite nonzero scalar.
 
-    Returns the identity when a(1) == rho already.  Breaks down when the
-    pairing pivot a(n+1) is negligible relative to ||a||.
+    Returns the identity when a is rho e1 already.  A rho equal to a(1) of
+    any other a is refused with ``InvalidParam``, as sh2 refuses a mu
+    equal to a(1): the direction is normalized by a(1) - rho.  Breaks down
+    when the pairing pivot a(n+1) is negligible relative to ||a||.
     """
     av = _as_vector(a)
     if rho == 0.0:
         raise InvalidParam("rho must be nonzero")
+    if rho == av[0] and av[1:].any():
+        raise InvalidParam("rho must differ from a(1) unless a is rho e1")
     return _sh1(av, rho, _norm(av), tol)
 
 

@@ -43,6 +43,12 @@ class TestGen:
         assert run_cli("gen", "--family", 1, "--n", 1,
                        "--out", tmp_path / "a.txt") == 2
 
+    @pytest.mark.parametrize("family, n, message", [(3, 4, "family must be 1 or 2"),
+                                                    (1, 1, "n must be >= 2")])
+    def test_bad_family_or_n_message(self, tmp_path, capsys, family, n, message):
+        assert run_cli("gen", "--family", family, "--n", n, "--out", tmp_path / "a.txt") == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_family_creates_no_file(self, tmp_path):
         assert run_cli("gen", "--family", 3, "--n", 4, "--out", tmp_path / "a.txt") == 2
         assert not (tmp_path / "a.txt").exists()
@@ -75,6 +81,16 @@ class TestReduce:
         assert kv["step"] == "1"
         assert kv["substep"] == "odd"
         assert kv["kind"] == "ZeroNu"
+
+    def test_rho_equal_to_a1_exits_4(self, tmp_path, capsys):
+        # it used to exit 0 with red_err=5: rho = a(1) of the working column
+        # gave an identity record, which the exact zeros then hid
+        a_path, p_path = tmp_path / "a.txt", tmp_path / "p.txt"
+        a_path.write_text("4 4\n1 0 0 0\n0 1 3 0\n2 0 1 0\n0 0 5 1\n")
+        p_path.write_text("3\n0.5\n")
+        code = run_cli("reduce", a_path, "--algo", "jhsh", "--strategy", f"fixed:{p_path}")
+        assert code == 4
+        assert capsys.readouterr().out == "step=1\nsubstep=even\nkind=InvalidParam\n"
 
     def test_overflow_exits_4(self, tmp_path, capsys):
         a_path = tmp_path / "a.txt"

@@ -5,7 +5,6 @@ import symhess.experiments as experiments
 from symhess import (
     VARIANTS,
     BreakdownError,
-    FamilySpec,
     ReductionOptions,
     SeededStrategy,
     SweepRow,
@@ -95,16 +94,23 @@ class TestFamily2:
             gen_family2(0)
 
 
-class TestFamilySpec:
-    def test_generate_dispatch(self):
-        assert np.array_equal(FamilySpec(1, 3).generate(), gen_family1(3))
-        assert np.array_equal(FamilySpec(2, 3).generate(), gen_family2(3))
+class TestFamilyLookup:
+    def test_generator_dispatch(self):
+        assert experiments._generator(1) is gen_family1
+        assert experiments._generator(2) is gen_family2
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FamilySpec(3, 4)
-        with pytest.raises(ValueError):
-            FamilySpec(1, 1)
+    @pytest.mark.parametrize("family", [0, 3, -1])
+    def test_unknown_family_rejected(self, family):
+        with pytest.raises(ValueError, match="^family must be 1 or 2$"):
+            experiments._generator(family)
+
+    def test_sweep_checks_the_family_before_any_reduction(self, monkeypatch):
+        def failing_reduce(*args, **kwargs):
+            raise AssertionError("reduce called")
+
+        monkeypatch.setattr(experiments, "reduce", failing_reduce)
+        with pytest.raises(ValueError, match="^family must be 1 or 2$"):
+            run_sweep(3, 2, 4, ["jhmsh"])
 
 
 class TestRunSweep:
@@ -168,7 +174,7 @@ class TestSweepSharesReductions:
             (n, v) for n in range(2, 13) for v in VARIANTS]
         for row in rows:
             try:
-                res = reduce(FamilySpec(family, row.n).generate(), row.variant, opts)
+                res = reduce((gen_family1, gen_family2)[family - 1](row.n), row.variant, opts)
             except BreakdownError:
                 expect = SweepRow(row.n, row.variant, None, None, 0, "breakdown")
             else:

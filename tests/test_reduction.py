@@ -207,6 +207,20 @@ class TestInputValidation:
         assert fixed.rhos == (1.0, 2.0) and fixed.mus == (0.5, 0.1)
         assert all(type(x) is float for x in fixed.rhos + fixed.mus)
 
+    @pytest.mark.parametrize("rhos, mus, bad", [
+        (("1.5", " 2 "), ("0.5", "1e0"), "'1.5'"),
+        ((np.complex128(1 + 0j),), (1.0,), "np.complex128(1+0j)"),
+        ((1 + 0j,), (1.0,), "(1+0j)"),
+        ((None,), (1.0,), "None"),
+    ], ids=["str", "np.complex128", "complex", "None"])
+    def test_fixed_strategy_rejects_parameters_that_are_not_real_numbers(self, rhos, mus, bad):
+        # strings used to be parsed, np.complex128 cast with only numpy's
+        # ComplexWarning, complex and None refused with a raw TypeError
+        with pytest.raises(ValueError, match=f"rho must be a real number, got {re.escape(bad)}$"):
+            FixedStrategy(rhos=rhos, mus=mus)
+        with pytest.raises(ValueError, match=f"mu must be a real number, got {re.escape(bad)}$"):
+            FixedStrategy(rhos=(1.0,) * len(mus), mus=rhos)
+
     @pytest.mark.parametrize("bad", [1.5, "7", None, np.float64(7.0)])
     def test_seeded_strategy_rejects_non_integer_seed(self, bad):
         with pytest.raises(ValueError, match="seed"):
@@ -481,6 +495,20 @@ class TestBreakdowns:
         assert (exc.value.step, exc.value.substep, exc.value.kind) == (1, "odd", "InvalidParam")
         assert exc.value.pivot_value == 0.0
         assert driver.fallbacks == [(1, "odd_case_a")]  # no rescue after the collision
+
+    def test_rho_meeting_the_working_column_is_a_breakdown(self):
+        # the active part of column 3 at the even sub-step is (3, 5): rho = 3
+        # = a(1) used to give the identity, and the exact zeros then hid the
+        # 5 it left, at red_err/||A||_2 = 0.83
+        a = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 3.0, 0.0],
+                      [2.0, 0.0, 1.0, 0.0], [0.0, 0.0, 5.0, 1.0]])
+        opts = ReductionOptions(strategy=FixedStrategy(rhos=(3.0,), mus=(0.5,)))
+        with pytest.raises(BreakdownError) as exc:
+            reduce(a, "jhsh", opts)
+        assert (exc.value.step, exc.value.substep, exc.value.kind) == (1, "even", "InvalidParam")
+        assert exc.value.pivot_value == 0.0
+        res = reduce(a, "jhsh", ReductionOptions(strategy=FixedStrategy(rhos=(3.5,), mus=(0.5,))))
+        assert res.red_err <= 1e-15 * spectral_norm(a)
 
     def test_mu_too_far_from_the_working_column_is_a_breakdown(self):
         # nu (a(1) - mu) = 1e150 * -1e160 overflows, so sh2's c = -1 / it is 0

@@ -53,9 +53,11 @@ class TestSh1:
         assert np.allclose(mapped(t, a), [5.0, 0.0, 0.0, 0.0], atol=1e-13)
 
     def test_identity_when_leading_entry_matches(self):
-        a = np.array([5.0, 1.0, 2.0, 3.0])
-        t = sh1(a, 5.0)
-        assert t.is_identity
+        # only a vector that is rho e1 already: for any other a the identity
+        # would leave a(2..2n) in place (it used to be returned all the same)
+        assert sh1(np.array([5.0, 0.0, 0.0, 0.0]), 5.0).is_identity
+        with pytest.raises(InvalidParam, match="rho must differ from a\\(1\\)"):
+            sh1(np.array([5.0, 1.0, 2.0, 3.0]), 5.0)
 
     def test_breakdown_on_zero_pivot(self):
         with pytest.raises(Breakdown) as exc:
@@ -477,7 +479,7 @@ class TestRightApplyRounding:
             vlg_sweep(2, col),
             _vlg_lowering(2, col),
             # identity records
-            sh1(col, float(col[0])),
+            sh1(col[0] * np.eye(2 * n)[0], float(col[0])),
             osh1(zeros),
             vlh(3, zeros),
             vlg(2, zeros),
@@ -668,7 +670,7 @@ class TestApply:
     def test_identity_is_untouched_bit_for_bit(self):
         rng = np.random.default_rng(18)
         m = rng.standard_normal((4, 4))
-        t = sh1(np.array([5.0, 1.0, 2.0, 3.0]), 5.0)  # identity (aux == 0)
+        t = sh1(np.array([5.0, 0.0, 0.0, 0.0]), 5.0)  # identity (a = rho e1)
         out = m.copy()
         apply_left(t, out)
         apply_right_adjoint(t, out)
