@@ -2,7 +2,8 @@
 
 The space carries the skew-symmetric product (x, y) -> x^T J y with
 J = [[0, I], [-I, 0]].  Matrices are plain float64 numpy arrays; every
-function validates the even-dimension contract it needs.
+function validates the even-dimension contract it needs.  ``_real`` and
+``_index`` are the package's rules for a real and an integer argument.
 
 ``spectral_norm`` is the exact 2-norm from the LAPACK SVD, so the
 reduction metrics built on it, ``orth_loss`` = ||I - S^J S||_2 and
@@ -18,6 +19,8 @@ never a full-size adjoint or a chain of full-size products.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,23 @@ def _as_real(x) -> np.ndarray:
     if a.dtype.kind == "c":
         raise ValueError(f"input must be real, got dtype {a.dtype}")
     return a.astype(np.float64, copy=False)
+
+
+def _real(value, name: str):
+    """The real-number rule: ``value`` if a ``numbers.Real`` and no bool, else ``ValueError``."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must not be a bool, which acts as 1 or 0, got {value!r}")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def _index(value, name: str) -> int:
+    """The integer rule: ``operator.index`` of ``_real(value, name)``, else ``ValueError``."""
+    try:
+        return operator.index(_real(value, name))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class _ShapeError(ValueError):
@@ -176,7 +196,7 @@ def structure_report(h, tol: float) -> StructureReport:
     """
     a = _as_matrix(h)
     n = _square_half(a)
-    if not tol >= 0:  # also refuses nan; inf is allowed
+    if not _real(tol, "tol") >= 0:  # also refuses nan; inf is allowed
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
     h11, h12 = a[:n, :n], a[:n, n:]
     h21, h22 = a[n:, :n], a[n:, n:]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _index
 from .reduction import BreakdownError, ReductionOptions, _algorithm, reduce
 
 __all__ = [
@@ -40,7 +41,7 @@ def gen_family1(n: int) -> np.ndarray:
     (0, 1, ..., 1) and superdiagonal 2, so its first column is zero;
     M22 lower bidiagonal (diag 1, subdiag 3).
     """
-    if n < 2:
+    if _index(n, "n") < 2:
         raise ValueError("n must be >= 2")
     m21 = np.diag([0.0] + [1.0] * (n - 1)) + 2.0 * np.eye(n, k=1)
     m22 = np.eye(n) + 3.0 * np.eye(n, k=-1)
@@ -54,7 +55,7 @@ def gen_family2(n: int) -> np.ndarray:
     column and tridiagonal (diag 1, off-diag 3) on indices 2..n;
     M22 = -M11^T.  J A is symmetric exactly.
     """
-    if n < 2:
+    if _index(n, "n") < 2:
         raise ValueError("n must be >= 2")
     m21 = np.zeros((n, n))
     m21[1:, 1:] = np.eye(n - 1) + 3.0 * np.eye(n - 1, k=1) + 3.0 * np.eye(n - 1, k=-1)
@@ -67,7 +68,7 @@ _GENERATORS = {1: gen_family1, 2: gen_family2}
 
 def _generator(family: int):
     """The generator of a family number, which is 1 or 2, else ``ValueError``."""
-    if family not in _GENERATORS:
+    if _index(family, "family") not in _GENERATORS:
         raise ValueError("family must be " + " or ".join(map(str, _GENERATORS)))
     return _GENERATORS[family]
 
@@ -92,6 +93,7 @@ def run_sweep(family: int, n_min: int, n_max: int, variants: list[str],
     caller's label.  The sizes, every name, ``opts`` and the family are
     checked, in that order, before any matrix is generated or reduced.
     """
+    n_min, n_max = _index(n_min, "n_min"), _index(n_max, "n_max")
     if not 2 <= n_min <= n_max:
         raise ValueError("need 2 <= n_min <= n_max")
     if opts is None:

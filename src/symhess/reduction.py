@@ -49,18 +49,16 @@ so replaying the transcript outside ``reduce`` rebuilds S bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
-from .core import (_as_matrix, _square_half, reduction_residual, spectral_norm,
-                   symplecticity_residual)
+from .core import (_as_matrix, _index, _real, _square_half, reduction_residual,
+                   spectral_norm, symplecticity_residual)
 from .transforms import (
     DEFAULT_BREAKDOWN_TOL,
-    Breakdown,
+    BreakdownError,
     InvalidParam,
     SymplecticTransform,
     TransformGivens,
@@ -87,7 +85,6 @@ __all__ = [
     "ParamStrategy",
     "ReductionOptions",
     "ReductionResult",
-    "BreakdownError",
     "reduce",
     "VARIANTS",
 ]
@@ -102,15 +99,6 @@ __all__ = [
 # Every array is float64 and every sum goes through BLAS, so the size
 # moves no rounding.
 _UFUNC_BUFSIZE = 256
-
-
-def _real(value, name: str):
-    """``value`` if it is a ``numbers.Real`` and not a bool, else ``ValueError``."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must not be a bool, which acts as 1 or 0, got {value!r}")
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -151,10 +139,7 @@ class SeededStrategy:
     seed: int
 
     def __post_init__(self):
-        try:
-            seed = operator.index(_real(self.seed, "seed"))
-        except TypeError:
-            raise ValueError(f"seeded strategy needs an integer seed, got {self.seed!r}") from None
+        seed = _index(self.seed, "seed")
         if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
         object.__setattr__(self, "seed", seed)
@@ -184,21 +169,6 @@ class ReductionOptions:
         if not isinstance(self.breakdown_fallback, (bool, np.bool_)):
             raise ValueError(f"breakdown_fallback must be a bool, got {self.breakdown_fallback!r}")
         object.__setattr__(self, "breakdown_fallback", bool(self.breakdown_fallback))
-
-
-class BreakdownError(Exception):
-    """Reduction aborted on a numerically zero pivot that no rescue cleared,
-    on a free parameter equal to a(1) of the working column or too far from
-    it (kind ``InvalidParam``), or on a non-finite value (kind ``NonFinite``)."""
-
-    def __init__(self, step: int, substep: str, kind: str, pivot_value: float):
-        self.step = step
-        self.substep = substep
-        self.kind = kind
-        self.pivot_value = float(pivot_value)
-        super().__init__(
-            f"breakdown at step {step} ({substep} sub-step): "
-            f"{kind}, pivot value {self.pivot_value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +339,7 @@ class _Driver:
                 break
             except InvalidParam as exc:
                 raise BreakdownError(j, substep, "InvalidParam", 0.0) from exc
-            except Breakdown as exc:
+            except BreakdownError as exc:
                 case = next(rescues, None)
                 if case is None:
                     raise BreakdownError(j, substep, exc.kind, exc.pivot_value) from exc

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_real
+from .core import _as_real, _index
 
 __all__ = [
     "DEFAULT_BREAKDOWN_TOL",
-    "Breakdown",
+    "BreakdownError",
     "InvalidParam",
     "TransformSH",
     "TransformGivens",
@@ -59,13 +59,19 @@ __all__ = [
 DEFAULT_BREAKDOWN_TOL = 2.0 ** -26
 
 
-class Breakdown(Exception):
-    """A pivot required by a transform constructor is numerically zero."""
+class BreakdownError(Exception):
+    """A numerically zero pivot, or in ``reduce`` also a refused free
+    parameter (kind ``InvalidParam``) or a non-finite value (``NonFinite``).
+    A builder raises it with ``step`` and ``substep`` None, ``reduce`` with
+    the step and sub-step where no rescue cleared it."""
 
-    def __init__(self, kind: str, pivot_value: float):
+    def __init__(self, step: int | None, substep: str | None, kind: str, pivot_value: float):
+        self.step = step
+        self.substep = substep
         self.kind = kind
         self.pivot_value = float(pivot_value)
-        super().__init__(f"division by zero: pivot {self.pivot_value!r} ({kind})")
+        where = "" if step is None else f" at step {step} ({substep} sub-step)"
+        super().__init__(f"breakdown{where}: {kind}, pivot value {self.pivot_value!r}")
 
 
 class InvalidParam(ValueError):
@@ -89,7 +95,7 @@ class TransformSH:
     n: int
 
     def __post_init__(self):
-        if not 0 <= self.offset < self.n:
+        if not 0 <= _index(self.offset, "offset") < _index(self.n, "n"):
             raise ValueError("offset must lie in [0, n)")
         span = self.n - self.offset
         if self.u.shape != (span,) or self.w.shape != (span,):
@@ -119,7 +125,7 @@ class TransformGivens:
     def __post_init__(self):
         if self.c.ndim != 1 or self.c.size == 0 or self.s.shape != self.c.shape:
             raise ValueError("c and s must be nonempty 1-D arrays of one length")
-        if not 1 <= self.k0 <= self.n - self.c.size + 1:
+        if not 1 <= _index(self.k0, "k0") <= _index(self.n, "n") - self.c.size + 1:
             raise ValueError("the planes k0..k0+c.size-1 must lie in 1..n")
         if not (np.abs(self.c * self.c + self.s * self.s - 1.0) <= 1e-14).all():
             raise ValueError("c^2 + s^2 must equal 1")
@@ -140,7 +146,7 @@ class TransformVLH:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.n:
+        if not 1 <= _index(self.k, "k") <= _index(self.n, "n"):
             raise ValueError("k must lie in 1..n")
         if self.w.shape != (self.n - self.k + 1,):
             raise ValueError("w must have length n - k + 1")
@@ -206,7 +212,7 @@ def _sh1(av: np.ndarray, rho: float, norm: float, tol: float) -> TransformSH:
     if aux == 0.0:
         return _identity_sh(m)
     if abs(nu) <= tol * norm:
-        raise Breakdown("ZeroPivot", nu)
+        raise BreakdownError(None, None, "ZeroPivot", nu)
     if not math.isfinite(rho):
         # after the pivot test: when ||a|| overflows, osh1 passes rho = +-inf
         # and the test reports a breakdown
@@ -232,7 +238,7 @@ def sh2(a, mu: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
         return _identity_sh(m)
     nu = av[m]
     if abs(nu) <= tol * _norm(av):
-        raise Breakdown("ZeroNu", nu)
+        raise BreakdownError(None, None, "ZeroNu", nu)
     if mu == av[0]:
         raise InvalidParam("mu must differ from a(1)")
     v = -av.copy()
@@ -271,7 +277,7 @@ def osh2(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     if xi == 0.0:
         return _identity_sh(m)
     if abs(nu) <= tol * _norm(av):
-        raise Breakdown("ZeroNu", nu)
+        raise BreakdownError(None, None, "ZeroNu", nu)
     v = av / -xi
     v[0] = 1.0
     v[m] = 0.0
@@ -309,7 +315,7 @@ def vlg(k: int, a) -> TransformGivens:
     """
     av = _as_vector(a)
     n = av.size // 2
-    if not 1 <= k <= n:
+    if not 1 <= _index(k, "k") <= n:
         raise ValueError("k must lie in 1..n")
     return _rotations(k, av[k - 1:k], av[n + k - 1:n + k], n)
 
@@ -322,7 +328,7 @@ def vlg_sweep(k0: int, a) -> TransformGivens:
     """
     av = _as_vector(a)
     n = av.size // 2
-    if not 1 <= k0 <= n:
+    if not 1 <= _index(k0, "k0") <= n:
         raise ValueError("k0 must lie in 1..n")
     return _rotations(k0, av[k0 - 1:n], av[n + k0 - 1:], n)
 
@@ -352,7 +358,7 @@ def vlh(k: int, a) -> TransformVLH:
     """
     av = _as_vector(a)
     n = av.size // 2
-    if not 1 <= k <= n:
+    if not 1 <= _index(k, "k") <= n:
         raise ValueError("k must lie in 1..n")
     return _vlh_from_segment(k, av[k - 1:n], n)
 
@@ -363,7 +369,7 @@ def embed(t: TransformSH, offset: int, n: int) -> TransformSH:
     the identity."""
     if not isinstance(t, TransformSH):
         raise TypeError("only symplectic Householder transforms can be embedded")
-    if offset < 0 or t.n + offset != n:
+    if _index(offset, "offset") < 0 or t.n + offset != n:
         raise ValueError(f"size mismatch: transform acts on 2*{t.n}, "
                          f"target 2*{n} with offset {offset}")
     return TransformSH(t.c, t.u, t.w, t.offset + offset, n)

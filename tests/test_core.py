@@ -297,6 +297,18 @@ class TestStructureReport:
         with pytest.raises(ValueError):
             structure_report(np.eye(4), float("nan"))
 
+    @pytest.mark.parametrize("tol", ["x", True, None], ids=["str", "bool", "None"])
+    def test_tol_that_is_not_a_real_number(self, tol):
+        # "x" and None used to raise a raw TypeError, True to run as 1.0
+        with pytest.raises(ValueError, match=f"tol .*got {tol!r}$"):
+            structure_report(np.eye(4), tol)
+
+    def test_integer_and_float32_tol_accepted(self):
+        h = np.eye(4)
+        h[3, 0] = 0.5
+        for tol in (0, np.int64(1), np.float32(0.25)):
+            assert structure_report(h, tol) == structure_report(h, float(tol))
+
     def test_infinite_tol_accepted(self):
         # cmd_check's tolerance 1e-10 * ||H||_F overflows for a finite huge H
         rep = structure_report(np.full((4, 4), 1e308), float("inf"))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,42 @@ class TestFamilyLookup:
         monkeypatch.setattr(experiments, "reduce", failing_reduce)
         with pytest.raises(ValueError, match="^family must be 1 or 2$"):
             run_sweep(3, 2, 4, ["jhmsh"])
+
+
+class TestIntegerArguments:
+    """A family number, a size and a size bound are integers: an int or a
+    numpy integer, never a bool, a float or a container."""
+
+    @pytest.mark.parametrize("call, bad", [
+        (lambda: run_sweep(True, 2, 2, ["jhmsh"]), "True"),
+        (lambda: run_sweep(2.0, 2, 2, ["jhmsh"]), "2.0"),
+        (lambda: run_sweep([1], 2, 2, ["jhmsh"]), "[1]"),
+        (lambda: run_sweep(1, 2.5, 4, ["jhmsh"]), "2.5"),
+        (lambda: gen_family1(3.0), "3.0"),
+    ], ids=["family-bool", "family-float", "family-list", "n_min-float", "gen-n-float"])
+    def test_refused_before_any_reduction(self, reduce_calls, call, bad):
+        # True used to run family 1 and 2.0 family 2; a list, a float size
+        # and a float n raised a raw TypeError
+        with pytest.raises(ValueError, match=re.escape(bad) + "$"):
+            call()
+        assert reduce_calls == []
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: run_sweep(np.int64(3), 2, 2, ["jhmsh"]), "family must be 1 or 2"),
+        (lambda: run_sweep(1, np.int8(1), 2, ["jhmsh"]), "need 2 <= n_min <= n_max"),
+        (lambda: run_sweep(1, 3, np.uint16(2), ["jhmsh"]), "need 2 <= n_min <= n_max"),
+        (lambda: gen_family2(np.int64(1)), "n must be >= 2"),
+    ], ids=["family", "n_min", "n_max", "gen-n"])
+    def test_numpy_integers_out_of_range_keep_their_messages(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_numpy_integers_give_the_int_results(self):
+        for gen in (gen_family1, gen_family2):
+            assert np.array_equal(gen(np.int32(5)), gen(5))
+        got = run_sweep(np.int64(2), np.int8(2), np.uint16(4), ["jhmsh", "jhsh"], SEEDED)
+        assert got == run_sweep(2, 2, 4, ["jhmsh", "jhsh"], SEEDED)
+        assert all(type(row.n) is int for row in got)
 
 
 class TestRunSweep:

@@ -10,7 +10,6 @@ import pytest
 
 import symhess.reduction as reduction
 from symhess import (
-    Breakdown,
     BreakdownError,
     FixedStrategy,
     OptimalStrategy,
@@ -479,7 +478,7 @@ class TestBreakdowns:
             reduce(a, "jhmsh2")
         assert exc.value.kind == "NonFinite"
         assert "np.float64" not in str(exc.value)
-        with pytest.raises(Breakdown) as exc:
+        with pytest.raises(BreakdownError) as exc:
             sh2(np.array([1.0, 2.0, 0.0, 1.0]), 0.5)
         assert "np.float64" not in str(exc.value)
 

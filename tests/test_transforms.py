@@ -1,11 +1,13 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+import symhess
 from symhess import (
     DEFAULT_BREAKDOWN_TOL,
-    Breakdown,
+    BreakdownError,
     InvalidParam,
     TransformGivens,
     TransformSH,
@@ -60,7 +62,7 @@ class TestSh1:
             sh1(np.array([5.0, 1.0, 2.0, 3.0]), 5.0)
 
     def test_breakdown_on_zero_pivot(self):
-        with pytest.raises(Breakdown) as exc:
+        with pytest.raises(BreakdownError) as exc:
             sh1(np.array([3.0, 1.0, 0.0, 2.0]), 1.0)
         assert exc.value.kind == "ZeroPivot"
 
@@ -89,7 +91,7 @@ class TestSh2:
         assert t.is_identity
 
     def test_breakdown_on_zero_nu(self):
-        with pytest.raises(Breakdown) as exc:
+        with pytest.raises(BreakdownError) as exc:
             sh2(np.array([3.0, 1.0, 0.0, 2.0]), 0.0)
         assert exc.value.kind == "ZeroNu"
 
@@ -159,7 +161,7 @@ class TestOsh1:
     def test_overflowing_norm_breaks_down(self):
         # rho = ||a|| = inf: the pivot test reports it before sh1 refuses
         # rho; overflow warnings are off, as in the reduction driver
-        with np.errstate(over="ignore"), pytest.raises(Breakdown) as exc:
+        with np.errstate(over="ignore"), pytest.raises(BreakdownError) as exc:
             osh1(np.array([1e200, 1.0, 1e200, 1.0]))
         assert exc.value.kind == "ZeroPivot"
 
@@ -180,12 +182,44 @@ class TestOsh2:
         assert osh2(np.array([7.0, 0.0, 3.0, 0.0])).is_identity
 
     def test_breakdown_on_zero_nu(self):
-        with pytest.raises(Breakdown) as exc:
+        with pytest.raises(BreakdownError) as exc:
             osh2(np.array([3.0, 1.0, 0.0, 2.0]))
         assert exc.value.kind == "ZeroNu"
 
     def test_n1_identity(self):
         assert osh2(np.array([2.0, 5.0])).is_identity
+
+
+class TestBreakdownError:
+    """A builder's zero pivot raises the class ``reduce`` raises, with no
+    step: only the driver knows one."""
+
+    @pytest.mark.parametrize("build, kind", [
+        (lambda a: sh1(a, 1.0), "ZeroPivot"),
+        (lambda a: sh2(a, 0.0), "ZeroNu"),
+        (osh1, "ZeroPivot"),
+        (osh2, "ZeroNu"),
+    ], ids=["sh1", "sh2", "osh1", "osh2"])
+    def test_builder_zero_pivot(self, build, kind):
+        with pytest.raises(BreakdownError) as exc:
+            build(np.array([3.0, 1.0, 1e-20, 2.0]))
+        err = exc.value
+        assert (err.step, err.substep, err.kind) == (None, None, kind)
+        assert type(err.pivot_value) is float and err.pivot_value == 1e-20
+        assert str(err) == f"breakdown: {kind}, pivot value 1e-20"
+
+    def test_reduce_raises_the_same_class_with_its_step(self):
+        assert symhess.transforms.BreakdownError is symhess.reduction.BreakdownError
+        with pytest.raises(BreakdownError) as exc:
+            symhess.reduce(symhess.gen_family1(3), "jhosh",
+                           symhess.ReductionOptions(breakdown_fallback=False))
+        assert (exc.value.step, exc.value.substep, exc.value.kind) == (1, "odd", "ZeroNu")
+        assert str(exc.value) == "breakdown at step 1 (odd sub-step): ZeroNu, pivot value 0.0"
+
+    def test_one_breakdown_class(self):
+        for module in (symhess, symhess.transforms, symhess.reduction):
+            names = [name for name in dir(module) if name.lower().startswith("breakdown")]
+            assert names == ["BreakdownError"], module.__name__
 
 
 class TestStridedInput:
@@ -209,7 +243,7 @@ class TestStridedInput:
             return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.uint64).tolist()
         try:
             t = build(a, tol)
-        except Breakdown as exc:
+        except BreakdownError as exc:
             return "breakdown", exc.kind, bits(exc.pivot_value)
         return "record", bits(t.c), bits(t.u), bits(t.w)
 
@@ -792,6 +826,43 @@ class TestRefusals:
         for build in (vlg, vlh):
             with pytest.raises(ValueError, match="k must"):
                 build(k, a)
+
+    @pytest.mark.parametrize("build, bad", [
+        (lambda i: TransformSH(0.5, np.ones(2), np.ones(2), i, 3), True),
+        (lambda i: TransformSH(0.5, np.ones(1), np.ones(1), 1, i), 2.0),
+        (lambda i: TransformGivens(i, np.array([0.6]), np.array([0.8]), 2), 1.0),
+        (lambda i: TransformGivens(1, np.array([0.6]), np.array([0.8]), i), 2.0),
+        (lambda i: TransformVLH(i, 0.4, np.array([1.0, 2.0]), 2), 1.0),
+        (lambda i: TransformVLH(1, 0.4, np.array([1.0, 2.0]), i), 2.0),
+        (lambda i: embed(osh2(np.array([3.0, 1.0, 4.0, 2.0])), i, 3), 1.0),
+        (lambda i: vlh(i, np.array([3.0, 4.0, 1.0, 2.0])), 1.0),
+        (lambda i: vlg(i, np.array([3.0, 4.0, 1.0, 2.0])), 2.0),
+        (lambda i: vlg_sweep(i, np.array([3.0, 4.0, 1.0, 2.0])), True),
+    ], ids=["sh-offset-bool", "sh-n-float", "givens-k0-float", "givens-n-float",
+            "vlh-record-k-float", "vlh-record-n-float", "embed-offset-float",
+            "vlh-k-float", "vlg-k-float", "vlg-sweep-k0-bool"])
+    def test_index_that_is_not_an_integer(self, build, bad):
+        # a float index used to build a record whose first apply raised a
+        # raw TypeError from slicing, and a bool one ran as 1
+        with pytest.raises(ValueError, match=re.escape(repr(bad)) + "$"):
+            build(bad)
+
+    @pytest.mark.parametrize("index", [np.int64(2), np.uint8(2), np.intp(2)],
+                             ids=["int64", "uint8", "intp"])
+    def test_numpy_integer_indices_act_as_ints(self, index):
+        a = np.array([3.0, 4.0, 1.0, 2.0, 5.0, 6.0])
+        t = osh2(np.array([3.0, 1.0, 4.0, 2.0]))
+        pairs = [(build(index, a), build(2, a)) for build in (vlg, vlg_sweep, vlh)]
+        pairs.append((embed(t, index - 1, index + 1), embed(t, 1, 3)))
+        m = np.random.default_rng(33).standard_normal((6, 6))
+        for got, want in pairs:
+            for field in dataclasses.fields(want):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+            x, y = m.copy(), m.copy()
+            for record, target in ((got, x), (want, y)):
+                apply_left(record, target)
+                apply_right_adjoint(record, target)
+            assert np.array_equal(x, y)
 
     def test_right_apply_to_a_vector(self):
         t = vlh(1, np.array([1.0, 2.0, 3.0, 4.0]))
