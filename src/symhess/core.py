@@ -54,6 +54,8 @@ def _real(value, name: str):
 
 def _index(value, name: str) -> int:
     """The integer rule: ``operator.index`` of ``_real(value, name)``, else ``ValueError``."""
+    if type(value) is int:  # what operator.index returns unchanged
+        return value
     try:
         return operator.index(_real(value, name))
     except TypeError:

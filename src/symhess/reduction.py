@@ -61,8 +61,7 @@ from .transforms import (
     BreakdownError,
     InvalidParam,
     SymplecticTransform,
-    TransformGivens,
-    _left_rows,
+    _givens_rows,
     _norm,
     _rotations,
     _vlh_from_segment,
@@ -360,9 +359,9 @@ class _Driver:
         left first throughout, so the p < q blocks of the active square are
         recomputed right-then-left: a copy of the square saved before the
         record, viewed as a 2m-by-2m matrix (m = n - j), is rotated by the
-        sweep's planes as a record of that space (by the kernel, not the
-        applies: it is no similarity of A) and written back through the
-        p < q mask.  H equals that of the one-by-one sweep bit for bit.
+        record's (c, s) in the planes of that space (by the Givens kernel,
+        not the applies: it is no similarity of A) and written back through
+        the p < q mask.  H equals that of the one-by-one sweep bit for bit.
         """
         n, col, m = self.n, self.n + j, self.n - j
         t = vlg_sweep(j + 1, self.A[:, col - 1])
@@ -371,9 +370,9 @@ class _Driver:
         saved = square.copy()
         self.similarity(t)
         if not t.is_identity:  # else the applies skipped it: A is as it was
-            planes, rotated = TransformGivens(1, t.c, t.s, m), saved.reshape(2 * m, 2 * m)
-            _left_rows(planes, rotated.T, m)  # the right rotations
-            _left_rows(planes, rotated, m)  # then the left ones
+            rotated = saved.reshape(2 * m, 2 * m)
+            _givens_rows(0, t.c, t.s, rotated.T, m)  # the right rotations
+            _givens_rows(0, t.c, t.s, rotated, m)  # then the left ones
             np.copyto(square, saved, where=~np.tri(m, dtype=bool)[:, None, :])
         if j <= n - 2:
             self.similarity(vlh(j + 1, self.A[:, col - 1]))

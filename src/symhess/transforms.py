@@ -19,8 +19,8 @@ pads an SH transform into a larger space with identity action on the
 leading coordinates of each half.
 
 One function, ``_left_rows``, updates a matrix by a record, with one
-arithmetic per kind; ``apply_right_adjoint`` runs it on the view M^T, as
-M T^J = ((T^J)^T M^T)^T, with (T^J)^T itself a record of the same kind.
+arithmetic per kind; ``apply_right_adjoint`` runs that arithmetic on the
+view M^T, as M T^J = ((T^J)^T M^T)^T, fed the record's own fields.
 The library never forms the dense matrix of a transform: that matrix is
 the tests' oracle, against which every apply is checked.
 """
@@ -57,6 +57,8 @@ __all__ = [
 
 # Relative pivot threshold: |pivot| <= tol * ||a||_2 counts as a breakdown.
 DEFAULT_BREAKDOWN_TOL = 2.0 ** -26
+# The dtype the applies update; compared by equality, as an unpickled array's is another object.
+_FLOAT64 = np.dtype(np.float64)
 
 
 class BreakdownError(Exception):
@@ -97,8 +99,7 @@ class TransformSH:
     def __post_init__(self):
         if not 0 <= _index(self.offset, "offset") < _index(self.n, "n"):
             raise ValueError("offset must lie in [0, n)")
-        span = self.n - self.offset
-        if self.u.shape != (span,) or self.w.shape != (span,):
+        if self.u.shape != (self.n - self.offset,) or self.w.shape != self.u.shape:
             raise ValueError("u and w must both have length n - offset")
 
     @property
@@ -375,13 +376,20 @@ def embed(t: TransformSH, offset: int, n: int) -> TransformSH:
     return TransformSH(t.c, t.u, t.w, t.offset + offset, n)
 
 
-def _half(t: SymplecticTransform, size: int | None = None, axis: str = "") -> int:
-    """The half-dimension n of a transform record, checked to be 2n = ``size``
-    (the number of rows or columns it is applied to) when one is given."""
+def _half(t: SymplecticTransform, m: np.ndarray | None = None, axis: int = 0) -> int:
+    """The half-dimension n of a transform record, checked against a matrix ``m``
+    it updates: a float64 array with 2n rows (axis 0), or 2-D with 2n columns (axis 1)."""
     if not isinstance(t, SymplecticTransform):
         raise TypeError(f"not a symplectic transform: {type(t).__name__}")
-    if size is not None and size != 2 * t.n:
-        raise ValueError(f"transform acts on 2*{t.n} {axis}, matrix has {size}")
+    if m is not None:
+        if not isinstance(m, np.ndarray) or m.dtype != _FLOAT64:
+            got = f"dtype {m.dtype}" if isinstance(m, np.ndarray) else f"a {type(m).__name__}"
+            raise ValueError(f"matrix must be a float64 numpy array, got {got}")
+        if axis and m.ndim != 2:
+            raise ValueError("right application expects a 2-D matrix")
+        if m.shape[axis] != 2 * t.n:
+            raise ValueError(f"transform acts on 2*{t.n} {('rows', 'columns')[axis]}, "
+                             f"matrix has {m.shape[axis]}")
     return t.n
 
 
@@ -393,26 +401,32 @@ def _add_outer(block, scale: float, x, row) -> None:
     block += prod
 
 
+def _sh_rows(c: float, u, w, offset: int, m: np.ndarray, n: int) -> None:
+    """M <- (I + c v v^J) M for v = [0^offset, u, 0^offset, w]: the SH arithmetic."""
+    up, lo = m[offset:n], m[n + offset:]  # the rows where v is nonzero
+    row = u @ lo - w @ up  # v^J M on the support
+    _add_outer(up, c, u, row)
+    _add_outer(lo, c, w, row)
+
+
+def _givens_rows(k: int, c, s, m: np.ndarray, n: int) -> None:
+    """The Givens arithmetic: rows (x, y) = (k+i, n+k+i), k 0-based, to (c x + s y, c y - s x)."""
+    c, s = c[:, None], s[:, None]
+    x, y = m[k:k + c.size], m[n + k:n + k + c.size]
+    sy, sx = s * y, s * x
+    x *= c
+    x += sy
+    y *= c
+    y -= sx
+
+
 def _left_rows(t: SymplecticTransform, m: np.ndarray, n: int) -> None:
     """M <- T M on the rows of a 2n-by-k matrix or view, unchecked: the one
     code that updates a matrix by a record.  A right apply runs it on M^T."""
     if isinstance(t, TransformSH):
-        up, lo = m[t.offset:n], m[n + t.offset:]  # the rows where v = (u, w) is nonzero
-        row = t.u @ lo - t.w @ up  # v^J M on the support
-        _add_outer(up, t.c, t.u, row)
-        _add_outer(lo, t.c, t.w, row)
+        _sh_rows(t.c, t.u, t.w, t.offset, m, n)
     elif isinstance(t, TransformGivens):
-        # rows (x, y) of each plane become (c x + s y, c y - s x), holding
-        # only the two products that read the old x and y
-        k, size = t.k0 - 1, t.c.size
-        c, s = t.c[:, None], t.s[:, None]
-        x, y = m[k:k + size], m[n + k:n + k + size]
-        sy = s * y
-        sx = s * x
-        x *= c
-        x += sy
-        y *= c
-        y -= sx
+        _givens_rows(t.k0 - 1, t.c, t.s, m, n)
     else:
         for block in (m[t.k - 1:n], m[n + t.k - 1:]):
             _add_outer(block, -t.beta, t.w, t.w @ block)
@@ -421,7 +435,7 @@ def _left_rows(t: SymplecticTransform, m: np.ndarray, n: int) -> None:
 def apply_left(t: SymplecticTransform, m: np.ndarray) -> None:
     """In-place M <- T M for a 2n-by-k matrix.  A 2n-vector is updated as a
     one-column matrix, with the same arithmetic."""
-    n = _half(t, m.shape[0], "rows")
+    n = _half(t, m)
     if not t.is_identity:
         _left_rows(t, m[:, None] if m.ndim == 1 else m, n)  # a view: writes go through
 
@@ -430,17 +444,14 @@ def apply_right_adjoint(t: SymplecticTransform, m: np.ndarray) -> None:
     """In-place M <- M T^J, as M^T <- (T^J)^T M^T by the left arithmetic.
 
     The orthogonal kinds, Givens and VLH, are their own (T^J)^T.  For an SH
-    record (T^J)^T = I + c (J v) v^T, the SH record with the halves
-    (w, -u) of J v.
+    record (T^J)^T = I + c (J v) v^T: the SH arithmetic, no record, with the
+    halves (w, -u) of J v in place of the record's (u, w).
     """
-    if m.ndim != 2:
-        raise ValueError("right application expects a 2-D matrix")
-    n = _half(t, m.shape[1], "columns")
-    if t.is_identity:
-        return
-    if isinstance(t, TransformSH):
-        t = TransformSH(t.c, t.w, -t.u, t.offset, n)
-    _left_rows(t, m.T, n)
+    n = _half(t, m, 1)
+    if isinstance(t, TransformSH) and not t.is_identity:
+        _sh_rows(t.c, t.w, -t.u, t.offset, m.T, n)
+    elif not t.is_identity:
+        _left_rows(t, m.T, n)
 
 
 def cond2(t: SymplecticTransform) -> float:

@@ -1,3 +1,5 @@
+import enum
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from symhess import (
     structure_report,
     symplecticity_residual,
 )
-from symhess.core import _BLOCK_ROWS
+from symhess.core import _BLOCK_ROWS, _index
 
 from oracles import adjoint_mat, j_inner, make_j
 
@@ -313,3 +315,31 @@ class TestStructureReport:
         # cmd_check's tolerance 1e-10 * ||H||_F overflows for a finite huge H
         rep = structure_report(np.full((4, 4), 1e308), float("inf"))
         assert rep.is_upper_j_hessenberg
+
+
+class TestIndexRule:
+    """``_index``, the integer rule: an exact int comes back unchanged, on
+    a fast path; every other value goes through ``operator.index`` with the
+    real-number rule first."""
+
+    def test_exact_int_comes_back_as_the_same_object(self):
+        value = int("1" * 30)  # not a cached small int
+        assert _index(value, "k") is value
+
+    @pytest.mark.parametrize("bad, message", [
+        (True, "k must not be a bool, which acts as 1 or 0, got True"),
+        (np.True_, f"k must not be a bool, which acts as 1 or 0, got {np.True_!r}"),
+        (2.0, "k must be an integer, got 2.0"),
+        ("2", "k must be a real number, got '2'"),
+    ], ids=["bool", "numpy-bool", "float", "str"])
+    def test_refused_with_its_message(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _index(bad, "k")
+
+    def test_numpy_integer_and_int_enum_accepted(self):
+        class Level(enum.IntEnum):
+            TWO = 2
+
+        for value in (np.int64(2), Level.TWO):
+            got = _index(value, "k")
+            assert got == 2 and type(got) is int

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import math
@@ -1067,3 +1068,40 @@ class TestIdentitySweepSkipped:
             expect[j + 1:n, n + j - 1] = expect[n + j:, n + j - 1] = 0.0
         assert np.array_equal(res.h.view(np.uint64), expect.view(np.uint64))
         assert np.array_equal(res.s.view(np.uint64), np.eye(2 * n).view(np.uint64))
+
+
+class TestRecordsBuiltOnce:
+    """A record is built, and its checks run, once by its builder, and an
+    SH record once more by ``embed``.  No apply builds one: an SH right
+    apply takes the halves of J v from the record's fields, and the
+    ``jhmsh`` p < q fix-up rotates by the sweep record's own (c, s)."""
+
+    @pytest.mark.parametrize("variant, opts", [
+        ("jhsh", ReductionOptions(SeededStrategy(3))),
+        ("jhosh", None),
+        ("jhmsh", None),
+        ("jhmsh2", None),
+    ], ids=VARIANTS)
+    def test_constructions_per_transcript_record(self, monkeypatch, variant, opts):
+        built = collections.Counter()
+        for kind in (TransformSH, TransformGivens, TransformVLH):
+            def counted(self, check=kind.__post_init__):
+                built[type(self)] += 1
+                check(self)
+            monkeypatch.setattr(kind, "__post_init__", counted)
+        built_by_right_applies = []
+        inner = reduction.apply_right_adjoint
+
+        def right(t, m):
+            before = built.total()
+            inner(t, m)
+            built_by_right_applies.append(built.total() - before)
+        monkeypatch.setattr(reduction, "apply_right_adjoint", right)
+        res = reduce(gen_family2(8), variant, opts)
+        assert res.fallbacks_used  # the rescue builders ran too
+        records = collections.Counter(type(t) for t in res.transcript)
+        assert built[TransformSH] == 2 * records[TransformSH] > 0
+        assert built[TransformGivens] == records[TransformGivens] > 0
+        assert built[TransformVLH] == records[TransformVLH] > 0
+        # one right apply to A per record, one more in the S replay
+        assert built_by_right_applies == [0] * (2 * len(res.transcript))

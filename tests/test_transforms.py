@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -29,7 +30,7 @@ from symhess import (
 
 from oracles import adjoint_mat, adjoint_record, densify, j_inner, right_adjoint_reference
 from symhess.reduction import _vlg_lowering
-from symhess.transforms import _vlh_from_segment
+from symhess.transforms import _left_rows, _vlh_from_segment
 
 
 def mapped(t, a):
@@ -868,6 +869,85 @@ class TestRefusals:
         t = vlh(1, np.array([1.0, 2.0, 3.0, 4.0]))
         with pytest.raises(ValueError, match="2-D"):
             apply_right_adjoint(t, np.zeros(4))
+
+
+class TestApplyTarget:
+    """The applies update a float64 numpy array only.  Anything else is
+    refused with ``ValueError`` naming its type or dtype, and left as it
+    was: a list raised a raw ``AttributeError``, an int array numpy's
+    ``UFuncTypeError``, and float32 and complex arrays ran in their own
+    arithmetic."""
+
+    @pytest.mark.parametrize("m, named", [
+        ([[1.0, 2.0, 3.0, 4.0]] * 4, "a list"),
+        (np.arange(16).reshape(4, 4), "dtype int64"),
+        (np.arange(16, dtype=np.float32).reshape(4, 4), "dtype float32"),
+        (np.arange(16).reshape(4, 4) + 1j, "dtype complex128"),
+        (np.arange(4), "dtype int64"),
+    ], ids=["list", "int64", "float32", "complex", "int64-vector"])
+    def test_matrix_that_is_not_float64_refused(self, m, named):
+        t = osh2(np.array([3.0, 1.0, 4.0, 2.0]))
+        assert not t.is_identity
+        before = np.array(m)
+        for apply in (apply_left, apply_right_adjoint):
+            with pytest.raises(ValueError, match=f"float64 numpy array, got {named}$"):
+                apply(t, m)
+        assert np.array_equal(np.array(m), before)
+
+    def test_unpickled_float64_array_accepted(self):
+        # its dtype equals float64 but is an object of its own
+        m = np.random.default_rng(3102).standard_normal((4, 4))
+        unpickled = pickle.loads(pickle.dumps(m))
+        assert unpickled.dtype is not m.dtype
+        t = osh2(np.array([3.0, 1.0, 4.0, 2.0]))
+        for x in (m, unpickled):
+            apply_left(t, x)
+            apply_right_adjoint(t, x)
+        assert np.array_equal(unpickled, m)
+
+
+class TestRightApplyBuildsNoRecord:
+    """An SH right apply runs the left arithmetic on M^T with the halves
+    (w, -u) of J v taken from the record's own fields.  It must round as
+    the left apply of the record ``TransformSH(c, w, -u, offset, n)`` on
+    M^T does, on every layout of M."""
+
+    N = 5
+
+    @classmethod
+    def _records(cls):
+        n = cls.N
+        col = np.random.default_rng(3100).standard_normal(2 * n)
+        sub = np.concatenate((col[1:n], col[n + 1:]))
+        records = [osh2(col), sh1(col, 1.5), embed(osh1(sub), 1, n), embed(sh2(sub, 0.25), 1, n)]
+        assert not any(t.is_identity for t in records)
+        return records
+
+    @classmethod
+    def _targets(cls, rng):
+        """(whole array, view of it that the record updates) pairs: C- and
+        F-ordered matrices, and a view strided along both axes."""
+        width = 2 * cls.N
+        for rows in (width, 3):
+            m = rng.standard_normal((rows, width))
+            yield m, m
+            f = np.asfortranarray(m)
+            yield f, f
+        base = rng.standard_normal((2 * width + 1, 3 * width))
+        yield base, base[::2, ::3]
+
+    def test_right_apply_is_the_left_rows_of_the_derived_record(self):
+        rng = np.random.default_rng(3101)
+        n = self.N
+        for t in self._records():
+            derived = TransformSH(t.c, t.w, -t.u, t.offset, n)
+            for whole, view in self._targets(rng):
+                expect = whole.copy(order="K")
+                expect_view = expect if view is whole else expect[::2, ::3]
+                apply_right_adjoint(t, view)
+                _left_rows(derived, expect_view.T, n)
+                assert np.array_equal(np.ascontiguousarray(whole).view(np.uint64),
+                                      np.ascontiguousarray(expect).view(np.uint64)), t
 
 
 class TestRecordFields:
