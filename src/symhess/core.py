@@ -86,18 +86,18 @@ def _adjoint_rows(m: np.ndarray, r0: int, out: np.ndarray) -> None:
     """Write rows r0 .. r0 + len(out) - 1 of the symplectic adjoint of ``m``
     into the C-contiguous ``out``, by exact block moves and sign flips.
 
-    For m = [[A, B], [C, D]] of size 2n-by-2k the adjoint is
-    [[D^T, -B^T], [-C^T, A^T]]: row r < k is [m(n:, k+r), -m(:n, k+r)] and
-    row r >= k is [-m(n:, r-k), m(:n, r-k)].  The halves to
+    For the 2n-by-2n m = [[A, B], [C, D]] the adjoint is
+    [[D^T, -B^T], [-C^T, A^T]]: row r < n is [m(n:, n+r), -m(:n, n+r)] and
+    row r >= n is [-m(n:, r-n), m(:n, r-n)].  The halves to
     negate are copied first and flipped by one pass over all of ``out``,
     before the other halves are copied: a ufunc on a strided half would
     allocate iteration buffers.
     """
-    n, k = m.shape[0] // 2, m.shape[1] // 2
+    n = m.shape[0] // 2
     r1 = r0 + out.shape[0]
-    mid = min(max(k, r0), r1)  # the first row at or past k
+    mid = min(max(n, r0), r1)  # the first row at or past n
     up, lo = out[:mid - r0], out[mid - r0:]
-    up_cols, lo_cols = slice(k + r0, k + mid), slice(mid - k, r1 - k)
+    up_cols, lo_cols = slice(n + r0, n + mid), slice(mid - n, r1 - n)
     up[:, n:] = m[:n, up_cols].T
     lo[:, :n] = m[n:, lo_cols].T
     np.negative(out, out=out)

@@ -224,12 +224,13 @@ class TestBreakdownError:
 
 
 class TestStridedInput:
-    """A builder given a strided column view returns what it returns for a
+    """An SH builder given a strided column view returns what it returns for a
     contiguous copy of it, bit for bit: its norms dot a contiguous vector,
     as ``np.linalg.norm`` does, and a strided dot rounds differently.
     osh1's rho is that norm; every builder's pivot test reads it, checked
     both at the default tolerance and at tol = |a(n+1)| / ||a||, where one
-    rounding of the norm decides the breakdown."""
+    rounding of the norm decides the breakdown.  vlh does not hold this
+    yet; its test below is a strict xfail."""
 
     BUILDERS = {
         "sh1": lambda a, tol: sh1(a, 0.75, tol),
@@ -239,14 +240,17 @@ class TestStridedInput:
     }
 
     @staticmethod
-    def _outcome(build, a, tol):
-        def bits(x):
-            return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.uint64).tolist()
+    def _bits(*xs):
+        return [np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.uint64).tolist()
+                for x in xs]
+
+    @classmethod
+    def _outcome(cls, build, a, tol):
         try:
             t = build(a, tol)
         except BreakdownError as exc:
-            return "breakdown", exc.kind, bits(exc.pivot_value)
-        return "record", bits(t.c), bits(t.u), bits(t.w)
+            return "breakdown", exc.kind, cls._bits(exc.pivot_value)
+        return "record", cls._bits(t.c, t.u, t.w)
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_column_view_builds_as_its_copy(self, name):
@@ -263,6 +267,23 @@ class TestStridedInput:
                     assert outcome == self._outcome(build, copy, tol), (m, j, tol)
                     breakdowns += outcome[0] == "breakdown"
         assert breakdowns > 0  # the edge tolerance reaches the pivot test
+
+    # About a quarter of these views round differently from their copies.
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="_vlh_from_segment dots seg[1:] in place, where the SH builders "
+               "ravel the vector first; one rounding for every reflector moves "
+               "the dense accuracy medians past their bound (ROADMAP item 9), "
+               "so it waits for item 12's gate")
+    def test_vlh_column_view_builds_as_its_copy(self):
+        rng = np.random.default_rng(2100)
+        for m in range(2, 41):
+            matrix = rng.standard_normal((2 * m, 6))
+            for j in range(matrix.shape[1]):
+                view, copy = matrix[:, j], matrix[:, j].copy()
+                for k in range(1, m + 1):
+                    got, want = vlh(k, view), vlh(k, copy)
+                    assert self._bits(got.beta, got.w) == self._bits(want.beta, want.w), (m, j, k)
 
 
 class TestVlg:
