@@ -23,6 +23,11 @@ arithmetic per kind; ``apply_right_adjoint`` runs that arithmetic on the
 view M^T, as M T^J = ((T^J)^T M^T)^T, fed the record's own fields.
 The library never forms the dense matrix of a transform: that matrix is
 the tests' oracle, against which every apply is checked.
+
+A record is checked where it comes in from outside the library: the
+public constructors check every field.  The builders construct each
+record once, unchecked (``_record``): built from a finite vector, its
+fields meet the same rules by construction.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_real, _index
+from .core import _as_real, _index, _real
 
 __all__ = [
     "DEFAULT_BREAKDOWN_TOL",
@@ -59,6 +64,31 @@ __all__ = [
 DEFAULT_BREAKDOWN_TOL = 2.0 ** -26
 # The dtype the applies update; compared by equality, as an unpickled array's is another object.
 _FLOAT64 = np.dtype(np.float64)
+
+
+def _float64_array(x, name: str) -> None:
+    """Refuse ``x`` with ``ValueError``, naming it, unless a float64 numpy array."""
+    if not isinstance(x, np.ndarray) or x.dtype != _FLOAT64:
+        got = f"dtype {x.dtype}" if isinstance(x, np.ndarray) else f"a {type(x).__name__}"
+        raise ValueError(f"{name} must be a float64 numpy array, got {got}")
+
+
+def _finite_array(x, name: str) -> None:
+    """The rule for a record's array field: a finite float64 numpy array."""
+    _float64_array(x, name)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+
+
+def _finite_real(value, name: str) -> float:
+    """The rule for a record's scalar field: a finite real, returned as a float."""
+    try:
+        x = float(_real(value, name))
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 class BreakdownError(Exception):
@@ -97,6 +127,9 @@ class TransformSH:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "c", _finite_real(self.c, "c"))
+        _finite_array(self.u, "u")
+        _finite_array(self.w, "w")
         if not 0 <= _index(self.offset, "offset") < _index(self.n, "n"):
             raise ValueError("offset must lie in [0, n)")
         if self.u.shape != (self.n - self.offset,) or self.w.shape != self.u.shape:
@@ -124,13 +157,15 @@ class TransformGivens:
     n: int
 
     def __post_init__(self):
+        _finite_array(self.c, "c")
+        _finite_array(self.s, "s")
         if self.c.ndim != 1 or self.c.size == 0 or self.s.shape != self.c.shape:
             raise ValueError("c and s must be nonempty 1-D arrays of one length")
         if not 1 <= _index(self.k0, "k0") <= _index(self.n, "n") - self.c.size + 1:
             raise ValueError("the planes k0..k0+c.size-1 must lie in 1..n")
         if not (np.abs(self.c * self.c + self.s * self.s - 1.0) <= 1e-14).all():
             raise ValueError("c^2 + s^2 must equal 1")
-        object.__setattr__(self, "is_identity", bool((self.c == 1).all() and (self.s == 0).all()))
+        object.__setattr__(self, "is_identity", _planes_identity(self.c, self.s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +182,8 @@ class TransformVLH:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "beta", _finite_real(self.beta, "beta"))
+        _finite_array(self.w, "w")
         if not 1 <= _index(self.k, "k") <= _index(self.n, "n"):
             raise ValueError("k must lie in 1..n")
         if self.w.shape != (self.n - self.k + 1,):
@@ -164,6 +201,24 @@ class TransformVLH:
 SymplecticTransform = TransformSH | TransformGivens | TransformVLH
 
 
+def _planes_identity(c: np.ndarray, s: np.ndarray) -> bool:
+    """Whether every plane of a Givens record is (c, s) = (1, 0)."""
+    return not s.any() and bool((c == 1).all())
+
+
+def _record(kind, **fields):
+    """A record of ``kind`` holding ``fields`` as given, and for a Givens
+    record its ``is_identity``, built without ``__post_init__``: the
+    constructor of every record a builder returns."""
+    t = object.__new__(kind)
+    for name, value in fields.items():
+        # one attribute at a time, as the dataclass __init__ sets them: the
+        # instance keeps its compact attribute storage, which writing to
+        # vars(t) would turn into a dict of twice the size
+        object.__setattr__(t, name, value)
+    return t
+
+
 def _as_vector(a) -> np.ndarray:
     v = _as_real(a)
     if v.ndim != 1 or v.size == 0 or v.size % 2:
@@ -173,7 +228,7 @@ def _as_vector(a) -> np.ndarray:
 
 def _identity_sh(m: int) -> TransformSH:
     z = np.zeros(m)
-    return TransformSH(0.0, z, z, 0, m)
+    return _record(TransformSH, c=0.0, u=z, w=z, offset=0, n=m)
 
 
 def _sign(x: float) -> float:
@@ -221,7 +276,7 @@ def _sh1(av: np.ndarray, rho: float, norm: float, tol: float) -> TransformSH:
     v = av / aux
     v[0] = 1.0
     c = aux * aux / (rho * nu)
-    return TransformSH(float(c), v[:m], v[m:], 0, m)
+    return _record(TransformSH, c=float(c), u=v[:m], w=v[m:], offset=0, n=m)
 
 
 def sh2(a, mu: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
@@ -248,7 +303,7 @@ def sh2(a, mu: float, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     c = -1.0 / (nu * (av[0] - mu))
     if c == 0.0:  # nu (a(1) - mu) overflowed: T would be the identity
         raise InvalidParam(f"mu too far from a(1): nu (a(1) - mu) overflows, got {mu!r}")
-    return TransformSH(float(c), v[:m], v[m:], 0, m)
+    return _record(TransformSH, c=float(c), u=v[:m], w=v[m:], offset=0, n=m)
 
 
 def osh1(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
@@ -285,13 +340,13 @@ def osh2(a, tol: float = DEFAULT_BREAKDOWN_TOL) -> TransformSH:
     # nu stays a numpy scalar: where tol * ||a|| is NaN a zero nu passes the
     # test above, and xi / nu must give inf there, not ZeroDivisionError
     c = xi / nu
-    return TransformSH(float(c), v[:m], v[m:], 0, m)
+    return _record(TransformSH, c=float(c), u=v[:m], w=v[m:], offset=0, n=m)
 
 
 def _rotations(k0: int, f: np.ndarray, g: np.ndarray, n: int) -> TransformGivens:
     """Rotations in the planes (k, n+k), k = k0..k0+f.size-1, taking each
     pair (f, g) to (hypot(f, g), 0); the identity (c=1, s=0) where both
-    entries vanish.
+    entries vanish.  A pair holding inf or nan is refused with ``ValueError``.
 
     c and s are built from the pair scaled by the power of two that brings
     its larger entry into [0.5, 1).  The scaling is exact, so c and s do
@@ -300,11 +355,14 @@ def _rotations(k0: int, f: np.ndarray, g: np.ndarray, n: int) -> TransformGivens
     """
     _, e = np.frexp(np.maximum(np.abs(f), np.abs(g)))
     f, g = np.ldexp(f, -e), np.ldexp(g, -e)
-    r = np.hypot(f, g)
-    nonzero = r != 0.0
-    c = np.divide(f, r, out=np.ones(f.size), where=nonzero)
-    s = np.divide(g, r, out=np.zeros(f.size), where=nonzero)
-    return TransformGivens(k0, c, s, n)
+    r = np.hypot(f, g)  # below 2 for a finite pair, inf or nan for another
+    if not math.isfinite(r.sum()):
+        raise ValueError("a must be finite in the rows it rotates")
+    if not r.all():  # (c, s) = (1, 0) where both entries vanish, with no 0 / 0
+        zero = r == 0.0
+        f[zero], g[zero], r[zero] = 1.0, 0.0, 1.0
+    c, s = f / r, g / r
+    return _record(TransformGivens, k0=k0, c=c, s=s, n=n, is_identity=_planes_identity(c, s))
 
 
 def vlg(k: int, a) -> TransformGivens:
@@ -334,22 +392,25 @@ def vlg_sweep(k0: int, a) -> TransformGivens:
     return _rotations(k0, av[k0 - 1:n], av[n + k0 - 1:], n)
 
 
-def _vlh_from_segment(k: int, segment: np.ndarray, n: int) -> TransformVLH:
-    """Reflector concentrating ``segment`` into its first entry.
+def _vlh_from_segment(k: int, seg: np.ndarray, n: int) -> TransformVLH:
+    """Reflector concentrating ``seg``, a float64 vector of length
+    n - k + 1, into its first entry.
 
     The transform applies the same P = I - beta w w^T to rows k..n and
-    n+k..2n; the caller decides which half of a column ``segment`` was
-    read from.
+    n+k..2n; the caller decides which half of a column ``seg`` was read
+    from.
     """
-    seg = np.asarray(segment, dtype=np.float64)  # TransformVLH checks its length
     s0, r1 = float(seg[0]), float(seg[1:] @ seg[1:])
     r = math.sqrt(s0 * s0 + r1)
-    if r == 0.0:
-        return TransformVLH(k, 0.0, np.zeros_like(seg), n)
+    w0 = s0 + _sign(s0) * r
+    # w0 * w0 >= r * r, so beta is 0 only for a zero segment, which takes no
+    # division, or where the squares overflow: the identity either way
+    beta = 2.0 / (w0 * w0 + r1) if r else 0.0
+    if beta == 0.0:
+        return _record(TransformVLH, k=k, beta=0.0, w=np.zeros_like(seg), n=n)
     w = seg.copy()
-    w[0] = w0 = s0 + _sign(s0) * r
-    # w0 * w0 >= r * r > 0 when r > 0, so the division cannot raise
-    return TransformVLH(k, 2.0 / (w0 * w0 + r1), w, n)
+    w[0] = w0
+    return _record(TransformVLH, k=k, beta=beta, w=w, n=n)
 
 
 def vlh(k: int, a) -> TransformVLH:
@@ -373,7 +434,7 @@ def embed(t: TransformSH, offset: int, n: int) -> TransformSH:
     if _index(offset, "offset") < 0 or t.n + offset != n:
         raise ValueError(f"size mismatch: transform acts on 2*{t.n}, "
                          f"target 2*{n} with offset {offset}")
-    return TransformSH(t.c, t.u, t.w, t.offset + offset, n)
+    return _record(TransformSH, c=t.c, u=t.u, w=t.w, offset=t.offset + offset, n=n)
 
 
 def _half(t: SymplecticTransform, m: np.ndarray | None = None, axis: int = 0) -> int:
@@ -382,9 +443,7 @@ def _half(t: SymplecticTransform, m: np.ndarray | None = None, axis: int = 0) ->
     if not isinstance(t, SymplecticTransform):
         raise TypeError(f"not a symplectic transform: {type(t).__name__}")
     if m is not None:
-        if not isinstance(m, np.ndarray) or m.dtype != _FLOAT64:
-            got = f"dtype {m.dtype}" if isinstance(m, np.ndarray) else f"a {type(m).__name__}"
-            raise ValueError(f"matrix must be a float64 numpy array, got {got}")
+        _float64_array(m, "matrix")
         if axis and m.ndim != 2:
             raise ValueError("right application expects a 2-D matrix")
         if m.shape[axis] != 2 * t.n:

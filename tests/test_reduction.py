@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import symhess.reduction as reduction
+import symhess.transforms as transforms
 from symhess import (
     BreakdownError,
     FixedStrategy,
@@ -1071,10 +1072,11 @@ class TestIdentitySweepSkipped:
 
 
 class TestRecordsBuiltOnce:
-    """A record is built, and its checks run, once by its builder, and an
-    SH record once more by ``embed``.  No apply builds one: an SH right
-    apply takes the halves of J v from the record's fields, and the
-    ``jhmsh`` p < q fix-up rotates by the sweep record's own (c, s)."""
+    """A record is built once by its builder, and an SH record once more by
+    ``embed``, both through the unchecked ``transforms._record``: no
+    ``__post_init__`` runs inside ``reduce``, and no apply builds a record.
+    An SH right apply takes the halves of J v from the record's fields, and
+    the ``jhmsh`` p < q fix-up rotates by the sweep record's own (c, s)."""
 
     @pytest.mark.parametrize("variant, opts", [
         ("jhsh", ReductionOptions(SeededStrategy(3))),
@@ -1083,25 +1085,72 @@ class TestRecordsBuiltOnce:
         ("jhmsh2", None),
     ], ids=VARIANTS)
     def test_constructions_per_transcript_record(self, monkeypatch, variant, opts):
-        built = collections.Counter()
+        checked = []
         for kind in (TransformSH, TransformGivens, TransformVLH):
-            def counted(self, check=kind.__post_init__):
-                built[type(self)] += 1
-                check(self)
-            monkeypatch.setattr(kind, "__post_init__", counted)
-        built_by_right_applies = []
-        inner = reduction.apply_right_adjoint
+            monkeypatch.setattr(kind, "__post_init__", lambda self: checked.append(self))
+        built = collections.Counter()
+        unchecked = transforms._record
 
-        def right(t, m):
-            before = built.total()
-            inner(t, m)
-            built_by_right_applies.append(built.total() - before)
-        monkeypatch.setattr(reduction, "apply_right_adjoint", right)
+        def record(kind, **fields):
+            built[kind] += 1
+            return unchecked(kind, **fields)
+        monkeypatch.setattr(transforms, "_record", record)
+        built_by_applies = []
+        for name in ("apply_left", "apply_right_adjoint"):
+            def counted(t, m, apply=getattr(reduction, name)):
+                before = built.total()
+                apply(t, m)
+                built_by_applies.append(built.total() - before)
+            monkeypatch.setattr(reduction, name, counted)
         res = reduce(gen_family2(8), variant, opts)
         assert res.fallbacks_used  # the rescue builders ran too
+        assert checked == []
         records = collections.Counter(type(t) for t in res.transcript)
         assert built[TransformSH] == 2 * records[TransformSH] > 0
         assert built[TransformGivens] == records[TransformGivens] > 0
         assert built[TransformVLH] == records[TransformVLH] > 0
-        # one right apply to A per record, one more in the S replay
-        assert built_by_right_applies == [0] * (2 * len(res.transcript))
+        # a left and a right apply to A per record, one more right apply in
+        # the S replay
+        assert built_by_applies == [0] * (3 * len(res.transcript))
+
+
+class TestRecordsPassThePublicChecks:
+    """The builders skip the record checks, so every record a run builds is
+    rebuilt here through its public constructor: each passes every check,
+    and the constructor keeps its fields as they are."""
+
+    OPTS = {"jhsh": ReductionOptions(SeededStrategy(7))}  # sh1 and sh2 too
+
+    @staticmethod
+    def _transcript(a, variant, opts):
+        """The records a run applies, up to its breakdown if it has one."""
+        driver = _Driver(a, variant, opts)
+        try:
+            driver.run()
+        except BreakdownError:
+            pass
+        return driver.transcript
+
+    def _check(self, a, variant):
+        records = self._transcript(a, variant, self.OPTS.get(variant, ReductionOptions()))
+        for t in records:
+            public = type(t)(**{f.name: getattr(t, f.name) for f in dataclasses.fields(t)})
+            assert _transform_key(public) == _transform_key(t)
+            assert public.is_identity == t.is_identity
+        return len(records)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_family_records(self, variant):
+        for gen in (gen_family1, gen_family2):
+            for n in range(2, 13):
+                self._check(gen(n), variant)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_scaled_gaussian_records(self, variant, scale):
+        checked = 0
+        for seed in range(5):
+            for n in (4, 10):
+                a = np.random.default_rng([3300, seed, n]).standard_normal((2 * n, 2 * n))
+                checked += self._check(a * scale, variant)
+        assert checked > 0

@@ -869,6 +869,58 @@ class TestRefusals:
         with pytest.raises(ValueError, match=re.escape(repr(bad)) + "$"):
             build(bad)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TransformSH(0.5, [1.0], [0.0], 0, 1), "u must be a float64 numpy array, got a list"),
+        (lambda: TransformGivens(1, [1.0], [0.0], 1), "c must be a float64 numpy array, got a list"),
+        (lambda: TransformVLH(1, 0.0, [0.0], 1), "w must be a float64 numpy array, got a list"),
+        (lambda: TransformSH(0.5, np.array([1]), np.array([0]), 0, 1),
+         "u must be a float64 numpy array, got dtype int64"),
+        (lambda: TransformSH(0.5, np.ones(1), np.array([0]), 0, 1),
+         "w must be a float64 numpy array, got dtype int64"),
+        (lambda: TransformGivens(1, np.ones(1), np.array([0]), 1),
+         "s must be a float64 numpy array, got dtype int64"),
+        (lambda: TransformVLH(1, 0.4, np.array([1, 2]), 2),
+         "w must be a float64 numpy array, got dtype int64"),
+        (lambda: TransformSH("x", np.ones(1), np.zeros(1), 0, 1), "c must be a real number, got 'x'"),
+        (lambda: TransformSH(np.nan, np.ones(1), np.zeros(1), 0, 1), "c must be finite, got nan"),
+        (lambda: TransformSH(-np.inf, np.ones(1), np.zeros(1), 0, 1), "c must be finite, got -inf"),
+        (lambda: TransformSH(10 ** 400, np.ones(1), np.zeros(1), 0, 1), "c must be finite, got 1"),
+        (lambda: TransformVLH(1, np.nan, np.array([1.0, 2.0]), 2), "beta must be finite, got nan"),
+        (lambda: TransformVLH(1, "0.4", np.array([1.0, 2.0]), 2),
+         "beta must be a real number, got '0.4'"),
+        (lambda: TransformSH(0.5, np.array([np.nan]), np.zeros(1), 0, 1), "u must be finite"),
+        (lambda: TransformSH(0.5, np.ones(1), np.array([np.inf]), 0, 1), "w must be finite"),
+        (lambda: TransformGivens(1, np.array([np.nan]), np.zeros(1), 1), "c must be finite"),
+        (lambda: TransformGivens(1, np.ones(1), np.array([-np.inf]), 1), "s must be finite"),
+        (lambda: TransformVLH(1, 0.4, np.array([1.0, np.nan]), 2), "w must be finite"),
+        (lambda: TransformVLH(1, 0.0, np.array([np.inf, 0.0]), 2), "w must be finite"),
+    ], ids=["sh-list", "givens-list", "vlh-list", "sh-u-int64", "sh-w-int64", "givens-s-int64",
+            "vlh-w-int64", "sh-c-string", "sh-c-nan", "sh-c-inf", "sh-c-huge-int", "vlh-beta-nan",
+            "vlh-beta-string", "sh-u-nan", "sh-w-inf", "givens-c-nan", "givens-s-inf",
+            "vlh-w-nan", "identity-vlh-w-inf"])
+    def test_record_field_outside_its_rule(self, build, message):
+        # the public constructors check every field: a list used to raise a
+        # raw AttributeError, and the rest were accepted, an int64 record
+        # applying in integer arithmetic
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            build()
+
+    def test_scalar_field_stored_as_a_float(self):
+        assert type(TransformSH(1, np.ones(1), np.zeros(1), 0, 1).c) is float
+        assert type(TransformVLH(1, np.float64(0.4), np.array([1.0, 2.0]), 2).beta) is float
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("build", [lambda a: vlg(2, a), lambda a: vlg_sweep(1, a)],
+                             ids=["vlg", "vlg_sweep"])
+    def test_rotation_of_a_non_finite_pair(self, build, bad):
+        # refused where the pair is read; this used to surface only as the
+        # record check "c^2 + s^2 must equal 1"
+        for i in (1, 3):  # either entry of the pair in the plane (2, 4)
+            a = np.array([1.0, 2.0, 3.0, 4.0])
+            a[i] = bad
+            with pytest.raises(ValueError, match="^a must be finite in the rows it rotates$"):
+                build(a)
+
     @pytest.mark.parametrize("index", [np.int64(2), np.uint8(2), np.intp(2)],
                              ids=["int64", "uint8", "intp"])
     def test_numpy_integer_indices_act_as_ints(self, index):
